@@ -113,6 +113,8 @@ void PlanJsonFields(JsonWriter* json, const PlanStats& plan) {
   json->Field("plan_estimated_cost_cycles", plan.estimated_cost_cycles);
   json->Field("plan_measured_cost_cycles", plan.measured_cost_cycles);
   json->Field("plan_observed_selectivity", plan.observed_selectivity);
+  json->Field("plan_alloc_seconds", plan.alloc_seconds);
+  json->Field("plan_finalize_seconds", plan.finalize_seconds);
 }
 
 void PerfJsonFields(JsonWriter* json, const PerfCounters::Sample& perf) {

@@ -165,8 +165,9 @@ class JsonWriter {
 };
 
 /// Emit a run's optimizer decision (RunStats::plan) as flat JSON fields —
-/// shape/build-side/build-mode names, candidate count, and the cost-model
-/// provenance — under the current JsonWriter point.
+/// shape/build-side/build-mode names, candidate count, the cost-model
+/// provenance, and the table-allocation and finalize seconds spent around
+/// the build and run phases — under the current JsonWriter point.
 void PlanJsonFields(JsonWriter* json, const PlanStats& plan);
 
 /// Emit a run's hardware counters (RunStats::perf) as flat JSON fields

@@ -29,20 +29,33 @@ void AlignedFree(void* p);
 void AdviseHugePages(void* p, std::size_t bytes);
 
 /// Owning, movable buffer of `T` aligned to a cache line (or stronger).
-/// Elements are default-constructed only when `T` is non-trivial.
+/// Elements are value-constructed only when `T` is non-trivial, unless the
+/// buffer was made by Uninitialized().
 template <typename T>
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
 
+  /// Allocate `count` elements and construct none of them: the owner
+  /// constructs each element before first use — node pools when they hand
+  /// a node out (ConstructAt), bucket arrays slice by slice on the threads
+  /// that will use them (ConstructRange).  Pages holding no constructed
+  /// element are never touched, so an oversized pool costs address space,
+  /// not memory or set-up time.  `T` must be trivially destructible, since
+  /// the buffer cannot know which elements were constructed.
+  static AlignedBuffer Uninitialized(std::size_t count,
+                                     std::size_t alignment = kCacheLineSize) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    AlignedBuffer buf;
+    buf.Allocate(count, alignment);
+    return buf;
+  }
+
   explicit AlignedBuffer(std::size_t count,
-                         std::size_t alignment = kCacheLineSize)
-      : size_(count) {
-    if (count == 0) return;
-    data_ = static_cast<T*>(AlignedAlloc(count * sizeof(T), alignment));
-    AdviseHugePages(data_, count * sizeof(T));
+                         std::size_t alignment = kCacheLineSize) {
+    Allocate(count, alignment);
     if constexpr (!std::is_trivially_default_constructible_v<T>) {
-      for (std::size_t i = 0; i < count; ++i) new (data_ + i) T();
+      ConstructRange(0, count);
     }
   }
 
@@ -71,6 +84,20 @@ class AlignedBuffer {
     size_ = 0;
   }
 
+  /// Value-construct element `i` in place, returning it.  Every member is
+  /// written; implicit padding is not guaranteed to be, so types whose
+  /// bytes must be reproducible spell their padding out as members.
+  T* ConstructAt(std::size_t i) {
+    AMAC_DCHECK(i < size_);
+    return new (data_ + i) T();
+  }
+
+  /// Value-construct elements [begin, end) in place.
+  void ConstructRange(std::size_t begin, std::size_t end) {
+    AMAC_DCHECK(begin <= end && end <= size_);
+    for (std::size_t i = begin; i < end; ++i) new (data_ + i) T();
+  }
+
   /// Zero-fill the underlying bytes (valid only for trivially copyable T).
   void ZeroFill() {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -97,6 +124,13 @@ class AlignedBuffer {
   const T* end() const { return data_ + size_; }
 
  private:
+  void Allocate(std::size_t count, std::size_t alignment) {
+    size_ = count;
+    if (count == 0) return;
+    data_ = static_cast<T*>(AlignedAlloc(count * sizeof(T), alignment));
+    AdviseHugePages(data_, count * sizeof(T));
+  }
+
   T* data_ = nullptr;
   std::size_t size_ = 0;
 };

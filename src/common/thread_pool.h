@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/macros.h"
 
 namespace amac {
@@ -135,5 +136,23 @@ class MorselCursor {
   const uint64_t total_;
   const uint64_t morsel_;
 };
+
+/// Value-construct every element of `buf` (an AlignedBuffer::Uninitialized
+/// allocation) in one pass: on `pool`'s threads, each first-touching its
+/// PartitionRange slice so the page faults of a large array are taken in
+/// parallel, or on the caller when `pool` is null.  Calls pool->Run, so it
+/// must not be called from inside a pool closure.
+template <typename T>
+void ConstructAll(AlignedBuffer<T>& buf, ThreadPool* pool) {
+  if (pool == nullptr || pool->size() <= 1) {
+    buf.ConstructRange(0, buf.size());
+    return;
+  }
+  const uint32_t parts = pool->size();
+  pool->Run([&](uint32_t tid) {
+    const Range r = PartitionRange(buf.size(), parts, tid);
+    buf.ConstructRange(r.begin, r.end);
+  });
+}
 
 }  // namespace amac

@@ -134,6 +134,15 @@ struct PlanStats {
   /// phase costing tracks the match-rate regime; negative when the run
   /// could not observe it.
   double observed_selectivity = -1;
+  /// Wall time RunPlan spent allocating plan-owned tables (join table,
+  /// group-by table, measure-fallback scratch tables), bucket arrays
+  /// initialized on the executor's pool.
+  double alloc_seconds = 0;
+  /// Wall time of RunPlan's group-by finalize passes (group count, rows
+  /// and checksum from one parallel summary walk per aggregation).  With
+  /// the build and run phases' seconds these attribute a RunPlan call's
+  /// wall time: build + run + alloc + finalize <= wall.
+  double finalize_seconds = 0;
 };
 
 /// Write-path accounting for the concurrent structures (hashtable upsert /

@@ -23,9 +23,12 @@
 
 namespace amac {
 
+class ThreadPool;
+
 struct AMAC_CACHE_ALIGNED GroupNode {
-  /// Key an unused node holds.  The invariant (maintained by the table's
-  /// constructor, Clear() and AllocNode()) lets the gathered group-by walk
+  /// Key an unused node holds.  Default construction establishes the
+  /// invariant and the table only hands out freshly constructed nodes
+  /// (constructor, Clear(), AllocNode()); it lets the gathered group-by walk
   /// (vec_groupby.h) test membership with a key compare alone: a used node
   /// never stores the sentinel unless the caller aggregates the sentinel
   /// key itself, which the vectorized path detects per lane and routes
@@ -64,6 +67,18 @@ struct AMAC_CACHE_ALIGNED GroupNode {
 };
 static_assert(sizeof(GroupNode) == kCacheLineSize);
 
+/// What one finalize walk over an aggregate table yields.  Every field is
+/// an order-independent sum, so a walk split over bucket ranges and merged
+/// is bitwise-identical to the serial walk.
+struct GroupSummary {
+  uint64_t groups = 0;    ///< distinct groups stored
+  uint64_t rows = 0;      ///< rows folded in (sum of the count aggregates)
+  uint64_t checksum = 0;  ///< sum of per-group hashes of the full state
+};
+
+/// The group-node pool is raw storage sized for the worst case (every
+/// group in an overflow node); AllocNode constructs a node when it hands it
+/// out, so unused pool pages are never touched.
 class AggregateTable {
  public:
   struct Options {
@@ -72,7 +87,11 @@ class AggregateTable {
     double target_nodes_per_bucket = 1.0;
   };
 
-  AggregateTable(uint64_t expected_groups, Options options);
+  /// With `init_pool`, the bucket array is constructed on the pool's
+  /// threads (ConstructAll in common/thread_pool.h), byte-identical to the
+  /// serial construction; must not be called from inside a pool closure.
+  AggregateTable(uint64_t expected_groups, Options options,
+                 ThreadPool* init_pool = nullptr);
 
   uint64_t BucketIndex(int64_t key) const {
     return hash_kind_ == HashKind::kMurmur
@@ -83,7 +102,8 @@ class AggregateTable {
   }
   GroupNode* HeadForKey(int64_t key) { return &buckets_[BucketIndex(key)]; }
 
-  /// Thread-safe bump allocation of an overflow node.
+  /// Thread-safe bump allocation of an overflow node, freshly constructed:
+  /// unused, unlatched, sentinel key, zeroed aggregates, no next.
   GroupNode* AllocNode();
 
   uint64_t num_buckets() const { return buckets_.size(); }
@@ -94,20 +114,26 @@ class AggregateTable {
 
   void Clear();
 
-  /// Visit every group (headers + overflow chains); not a hot path.
+  /// Visit every group (headers + overflow chains) through a type-erased
+  /// callback; for tests and reporting, not for per-query finalization.
   void ForEachGroup(const std::function<void(const GroupNode&)>& fn) const;
 
-  /// Number of distinct groups currently stored.
-  uint64_t CountGroups() const;
+  /// The finalize pass: one walk over every chain yielding the group
+  /// count, the rows folded in and the checksum together.  Every group-by
+  /// query pays it after its aggregation phase, so it is on the query's
+  /// critical path: with a `pool` of more than one thread the walk is
+  /// split over bucket ranges on the pool (pool->Run: not from inside a
+  /// pool closure); either way the chain pointer a few buckets ahead is
+  /// prefetched, hiding the overflow-node misses.
+  GroupSummary Summarize(ThreadPool* pool = nullptr) const;
 
-  /// Total rows folded in (sum of the per-group count aggregate) — the
-  /// row count that reached the aggregation, which the plan layer reads
-  /// off after a run to observe pipeline selectivity without any per-row
-  /// instrumentation.  Walks groups; not a hot path.
-  uint64_t TotalRows() const;
+  /// Number of distinct groups currently stored.  A serial Summarize walk
+  /// that skips the per-group hashing.
+  uint64_t CountGroups() const;
 
   /// Order-independent checksum over the full aggregate state of every
   /// group; engines that compute the same aggregation agree on this value.
+  /// Summarize().checksum.
   uint64_t Checksum() const;
 
  private:

@@ -8,8 +8,8 @@
 
 namespace amac {
 
-RunStats RunGroupBy(Executor& exec, const Relation& input,
-                    AggregateTable* table) {
+RunStats AggregatePhase(Executor& exec, const Relation& input,
+                        AggregateTable* table) {
   RunStats run;
   const uint32_t threads = exec.num_threads();
   if (exec.policy() == ExecPolicy::kSequential) {
@@ -45,8 +45,15 @@ RunStats RunGroupBy(Executor& exec, const Relation& input,
       return GroupByOp<true>(*table, input);
     }));
   }
-  run.outputs = table->CountGroups();
-  run.checksum = table->Checksum();
+  return run;
+}
+
+RunStats RunGroupBy(Executor& exec, const Relation& input,
+                    AggregateTable* table) {
+  RunStats run = AggregatePhase(exec, input, table);
+  const GroupSummary summary = table->Summarize(&exec.pool());
+  run.outputs = summary.groups;
+  run.checksum = summary.checksum;
   return run;
 }
 

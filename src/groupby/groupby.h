@@ -20,8 +20,16 @@ namespace amac {
 /// Aggregate `input` into `table` (which must be empty and sized for the
 /// expected number of groups) under the executor's policy.  The returned
 /// RunStats carry inputs = |input|, outputs = resulting group count, and
-/// checksum = the table's order-independent checksum.
+/// checksum = the table's order-independent checksum, both from one
+/// summary pass (AggregateTable::Summarize) on the executor's pool after
+/// the measured region.
 RunStats RunGroupBy(Executor& exec, const Relation& input,
                     AggregateTable* table);
+
+/// RunGroupBy's aggregation phase alone: outputs and checksum stay 0, for
+/// callers that run the summary pass themselves (the plan layer, which
+/// also reads the rows off it).
+RunStats AggregatePhase(Executor& exec, const Relation& input,
+                        AggregateTable* table);
 
 }  // namespace amac

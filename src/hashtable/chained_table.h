@@ -26,11 +26,15 @@
 
 namespace amac {
 
+class ThreadPool;
+
 /// One cache line of the chain: up to two tuples plus the next pointer.
 ///
 /// Slot invariant: every tuple slot with index >= count holds
-/// kEmptySlotKey.  The table's insert paths maintain it (construction,
-/// Clear, AllocOverflowNode, and the header-eviction discipline), and the
+/// kEmptySlotKey.  Default construction establishes it (the slot keys
+/// default to the sentinel), every node the table hands out is freshly
+/// constructed (bucket arrays at set-up and on Clear, overflow nodes in
+/// AllocOverflowNode), and the header-eviction discipline keeps it; the
 /// vectorized probe (hashtable/vec_probe.h) relies on it to compare both
 /// key slots unconditionally instead of gathering the header for `count` —
 /// an unused slot can never equal a probe key.  The one collision —
@@ -45,8 +49,12 @@ struct AMAC_CACHE_ALIGNED BucketNode {
   Latch latch;            ///< 1-byte latch (meaningful on bucket headers)
   uint8_t count = 0;      ///< tuples used in this node (0..2)
   uint8_t pad[6] = {};    ///< explicit padding for layout clarity
-  Tuple tuples[kTuplesPerNode] = {};
+  Tuple tuples[kTuplesPerNode] = {{kEmptySlotKey, 0}, {kEmptySlotKey, 0}};
   BucketNode* next = nullptr;  ///< overflow chain
+  /// The rest of the cache line, explicit so that every byte of a
+  /// constructed node is defined (value initialization need not clear
+  /// implicit padding) and bucket arrays compare bytewise.
+  uint8_t tail_pad[16] = {};
 };
 static_assert(sizeof(BucketNode) == kCacheLineSize,
               "bucket must occupy exactly one cache line");
@@ -67,6 +75,11 @@ struct ChainStats {
 };
 
 /// The chained table: bucket header array + bump-allocated overflow pool.
+///
+/// The overflow pool is raw storage sized for the worst case (every tuple
+/// in one chain); a node is constructed when AllocOverflowNode hands it
+/// out, so the pool's untouched tail costs neither set-up time nor
+/// resident memory.
 class ChainedHashTable {
  public:
   struct Options {
@@ -83,7 +96,11 @@ class ChainedHashTable {
     uint64_t overflow_capacity = 0;
   };
 
-  ChainedHashTable(uint64_t expected_tuples, Options options);
+  /// With `init_pool`, the bucket array is constructed on the pool's
+  /// threads (ConstructAll in common/thread_pool.h), byte-identical to the
+  /// serial construction; must not be called from inside a pool closure.
+  ChainedHashTable(uint64_t expected_tuples, Options options,
+                   ThreadPool* init_pool = nullptr);
 
   /// Non-synchronized insert (single-threaded build).
   void InsertUnsync(const Tuple& t);
@@ -109,7 +126,8 @@ class ChainedHashTable {
     return &buckets_[BucketIndex(key)];
   }
 
-  /// Allocate one overflow node (thread-safe bump allocation).
+  /// Allocate one overflow node (thread-safe bump allocation), freshly
+  /// constructed: empty, unlatched, sentinel slot keys, no next.
   BucketNode* AllocOverflowNode();
 
   /// Record that `key` was stored in the table.  A stored key equal to

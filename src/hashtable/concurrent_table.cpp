@@ -1,6 +1,7 @@
 #include "hashtable/concurrent_table.h"
 
 #include <atomic>
+#include <new>
 #include <unordered_set>
 
 namespace amac {
@@ -23,10 +24,6 @@ ConcurrentChainedTable::ConcurrentChainedTable(uint64_t expected_live,
   const uint64_t num_buckets = NextPow2(std::max<uint64_t>(1, want));
   bucket_mask_ = num_buckets - 1;
   buckets_ = AlignedBuffer<BucketNode>(num_buckets, kCacheLineSize);
-  for (BucketNode& b : buckets_) {
-    b.tuples[0].key = BucketNode::kEmptySlotKey;
-    b.tuples[1].key = BucketNode::kEmptySlotKey;
-  }
   uint64_t first = options.initial_overflow_capacity;
   if (first == 0) first = std::max<uint64_t>(64, expected_live / 4);
   slabs_.push_back(std::make_unique<Slab>(first));
@@ -35,16 +32,11 @@ ConcurrentChainedTable::ConcurrentChainedTable(uint64_t expected_live,
 
 ConcurrentChainedTable::~ConcurrentChainedTable() = default;
 
-void ConcurrentChainedTable::InitNode(BucketNode* node) {
+BucketNode* ConcurrentChainedTable::InitNode(void* mem) {
   // The node is unreachable here (fresh slab slot, or recycled after its
-  // epoch grace period); plain stores are ordered by the release store
-  // that later links it.
-  node->latch.ReleaseUnsync();
-  node->count = 0;
-  for (uint8_t& p : node->pad) p = 0;
-  node->tuples[0] = Tuple{BucketNode::kEmptySlotKey, 0};
-  node->tuples[1] = Tuple{BucketNode::kEmptySlotKey, 0};
-  node->next = nullptr;
+  // epoch grace period); the constructor's plain stores are ordered by the
+  // release store that later links it.
+  return new (mem) BucketNode();
 }
 
 BucketNode* ConcurrentChainedTable::AllocNode() {
@@ -55,18 +47,15 @@ BucketNode* ConcurrentChainedTable::AllocNode() {
       free_.pop_back();
       free_count_.fetch_sub(1, std::memory_order_relaxed);
       recycled_nodes_.fetch_add(1, std::memory_order_relaxed);
-      InitNode(node);
-      return node;
+      return InitNode(node);
     }
   }
   for (;;) {
     Slab* slab = current_slab_.load(std::memory_order_acquire);
     const uint64_t i = slab->used.fetch_add(1, std::memory_order_relaxed);
     if (i < slab->nodes.size()) {
-      BucketNode* node = &slab->nodes[i];
       allocated_nodes_.fetch_add(1, std::memory_order_relaxed);
-      InitNode(node);
-      return node;
+      return InitNode(slab->nodes.data() + i);
     }
     std::lock_guard<std::mutex> lock(alloc_mu_);
     if (current_slab_.load(std::memory_order_acquire) == slab) {

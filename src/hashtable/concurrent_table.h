@@ -215,9 +215,13 @@ class ConcurrentChainedTable {
   void CollectLive(std::vector<Tuple>* out) const;
 
  private:
+  /// Raw node storage: AllocNode constructs a node when it claims it, so
+  /// growing to a new (doubled) slab under alloc_mu_ is an allocation, not
+  /// a serial pass over the whole slab.
   struct Slab {
     explicit Slab(uint64_t capacity)
-        : nodes(capacity, kCacheLineSize), used(0) {}
+        : nodes(AlignedBuffer<BucketNode>::Uninitialized(capacity)),
+          used(0) {}
     AlignedBuffer<BucketNode> nodes;
     std::atomic<uint64_t> used;
   };
@@ -226,7 +230,9 @@ class ConcurrentChainedTable {
   static void RecycleNode(void* obj, void* ctx);
 
   BucketNode* AllocNode();
-  void InitNode(BucketNode* node);
+  /// Construct a whole node (latch, count, pad, sentinel slots, next) in
+  /// `mem`: a fresh slab slot or a recycled node past its grace period.
+  static BucketNode* InitNode(void* mem);
   void CompactLocked(BucketNode* head, EpochGuard& guard);
 
   EpochManager* const epochs_;

@@ -9,6 +9,14 @@
 // conversely adapts onto RunPlan, so the dependency points one way:
 // plan.cpp -> drivers -> ops.
 //
+// Table set-up and the group-by finalize sit on every query's critical
+// path next to those parallel phases, over arrays far larger than the LLC
+// at ref scale, so neither runs serially: plan-owned tables construct
+// their bucket arrays on the executor's pool (node pools stay untouched
+// until a node is handed out), and one parallel summary pass
+// (AggregateTable::Summarize) yields group count, rows and checksum.
+// PlanStats::alloc_seconds and finalize_seconds time both.
+//
 // Type-erasure keeps the template surface bounded: all filters/maps of a
 // plan collapse into ONE DynScanSource (folded into the scan, zero extra
 // stages) or ONE DynRowStage (post-join), whatever their count, so the
@@ -19,7 +27,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -350,18 +357,13 @@ class DynRowStage {
 // Shape execution
 // ---------------------------------------------------------------------------
 
-RunStats FillGroupStats(RunStats run, const AggregateTable& table) {
-  run.outputs = table.CountGroups();
-  run.checksum = table.Checksum();
-  return run;
-}
-
+// Aggregating shape runs leave outputs/checksum to FinishRun's summary
+// pass, which RunPlan times separately from the run phase.
 template <typename PipelineT>
 RunStats RunMaybeAgg(Executor& exec, const PipelineT& pipeline,
                      AggregateTable* groups) {
   if (groups != nullptr) {
-    return FillGroupStats(exec.Run(pipeline.Then(Aggregate<true>(*groups))),
-                          *groups);
+    return exec.Run(pipeline.Then(Aggregate<true>(*groups)));
   }
   return exec.Run(pipeline);
 }
@@ -427,7 +429,7 @@ RunStats RunFused(Executor& exec, const Profile& p,
     // Pure scan -> group-by: drive the group-by driver directly, keeping
     // the fig09 sequential baseline anchor and the vectorized GroupByOp
     // path underneath plans.
-    return RunGroupBy(exec, *probe, groups);
+    return AggregatePhase(exec, *probe, groups);
   }
   return RunTail(exec, From(DynScanSource(*probe, std::move(pre))), {},
                  groups);
@@ -436,8 +438,8 @@ RunStats RunFused(Executor& exec, const Profile& p,
 /// Execute the two-phase form: probe-materialize (MaterializeSink per
 /// slot), rebuild the canonical intermediate relation, then a separate
 /// group-by phase — fig12's materialized plan, per shape.  Returns the
-/// phases merged into one RunStats (inputs = probe rows, outputs/checksum
-/// = the aggregation's).
+/// phases merged into one RunStats (inputs = probe rows; outputs/checksum
+/// are left to FinishRun).
 RunStats RunTwoPhase(Executor& exec, const Profile& /*p*/,
                      const Relation& probe, const ChainedHashTable& table,
                      AggregateTable* groups, uint64_t* survivors = nullptr) {
@@ -452,21 +454,28 @@ RunStats RunTwoPhase(Executor& exec, const Profile& /*p*/,
   }));
   CycleTimer mid_cycles;
   WallTimer mid_wall;
-  uint64_t total = 0;
-  for (const MaterializeSink& sink : sinks) total += sink.size();
+  // Stitch the canonical intermediate in parallel: each slot's sink owns
+  // the output range starting at its precomputed offset (slot order, so
+  // `mid` is the same relation a serial concatenation builds).
+  std::vector<uint64_t> offset(slots + 1, 0);
+  for (uint32_t t = 0; t < slots; ++t) {
+    offset[t + 1] = offset[t] + sinks[t].size();
+  }
+  const uint64_t total = offset[slots];
   if (survivors != nullptr) *survivors = total;
   Relation mid(total);
-  uint64_t at = 0;
-  for (const MaterializeSink& sink : sinks) {
+  exec.pool().Run([&](uint32_t tid) {
+    const MaterializeSink& sink = sinks[tid];
+    Tuple* out = mid.data() + offset[tid];
     for (uint64_t i = 0; i < sink.size(); ++i) {
       const Tuple& row = sink.data()[i];
-      mid[at++] = Tuple{row.payload,
-                        probe[static_cast<uint64_t>(row.key)].payload};
+      out[i] = Tuple{row.payload,
+                     probe[static_cast<uint64_t>(row.key)].payload};
     }
-  }
+  });
   const uint64_t mid_elapsed = mid_cycles.Elapsed();
   const double mid_seconds = mid_wall.ElapsedSeconds();
-  RunStats phase2 = RunGroupBy(exec, mid, groups);
+  RunStats phase2 = AggregatePhase(exec, mid, groups);
   RunStats run = phase1;
   run.engine.Merge(phase2.engine);
   run.morsels += phase2.morsels;
@@ -474,8 +483,6 @@ RunStats RunTwoPhase(Executor& exec, const Profile& /*p*/,
   run.seconds += mid_seconds + phase2.seconds;
   run.dispatch_seconds += mid_seconds + phase2.dispatch_seconds;
   run.inputs = probe.size();
-  run.outputs = phase2.outputs;
-  run.checksum = phase2.checksum;
   return run;
 }
 
@@ -525,15 +532,27 @@ WorkloadSignature ShapeSignature(const Plan& plan, const Profile& p,
 /// exactly this: two-phase wins when the join filters hard).
 constexpr double kTwoPhaseFixedFraction = 0.5;
 
-/// Terminal rows per probe input observed on a finished run.  When the
-/// plan aggregates, run.outputs counts groups, not rows — the aggregate
-/// table's folded row count (TotalRows) recovers the rows that reached the
-/// terminal without any per-row instrumentation.  Negative when the run
-/// could not observe it.
-double ObservedSelectivity(const RunStats& run, const AggregateTable* groups,
-                           uint64_t inputs) {
+/// Finish a shape run.  For an aggregating plan, one summary pass over the
+/// group table on the executor's pool fills run->outputs (the group count)
+/// and run->checksum, timed into pstats->finalize_seconds.  Returns the
+/// rows that reached the terminal: when the plan aggregates, run.outputs
+/// counts groups, not rows, and the table's folded row count recovers them
+/// without any per-row instrumentation.
+uint64_t FinishRun(Executor& exec, const AggregateTable* groups,
+                   RunStats* run, PlanStats* pstats) {
+  if (groups == nullptr) return run->outputs;
+  WallTimer wall;
+  const GroupSummary summary = groups->Summarize(&exec.pool());
+  pstats->finalize_seconds += wall.ElapsedSeconds();
+  run->outputs = summary.groups;
+  run->checksum = summary.checksum;
+  return summary.rows;
+}
+
+/// Terminal rows per probe input observed on a finished run; negative when
+/// the run could not observe it.
+double ObservedSelectivity(uint64_t rows, uint64_t inputs) {
   if (inputs == 0) return -1;
-  const uint64_t rows = groups != nullptr ? groups->TotalRows() : run.outputs;
   return static_cast<double>(rows) / static_cast<double>(inputs);
 }
 
@@ -565,24 +584,45 @@ BuildKey KeyOf(const PhysicalShape& shape) {
           static_cast<int>(shape.build_mode)};
 }
 
-std::shared_ptr<ChainedHashTable> MakeTable(const Profile& p,
-                                            const Relation& build_rel) {
+/// A plan-built join table for `build_rel`, its buckets constructed on the
+/// executor's pool; the allocation's wall time goes to
+/// pstats->alloc_seconds.
+std::shared_ptr<ChainedHashTable> MakeTable(Executor& exec, const Profile& p,
+                                            const Relation& build_rel,
+                                            PlanStats* pstats) {
   ChainedHashTable::Options options;
   options.target_nodes_per_bucket = p.join->join.target_nodes_per_bucket;
   options.hash_kind = p.join->join.hash_kind;
-  return std::make_shared<ChainedHashTable>(
-      std::max<uint64_t>(1, build_rel.size()), options);
+  WallTimer wall;
+  auto table = std::make_shared<ChainedHashTable>(
+      std::max<uint64_t>(1, build_rel.size()), options, &exec.pool());
+  pstats->alloc_seconds += wall.ElapsedSeconds();
+  return table;
+}
+
+/// A plan-owned (or scratch) aggregate table, buckets constructed on the
+/// executor's pool, timed into pstats->alloc_seconds.
+std::shared_ptr<AggregateTable> MakeGroups(Executor& exec,
+                                           uint64_t expected_groups,
+                                           AggregateTable::Options options,
+                                           PlanStats* pstats) {
+  WallTimer wall;
+  auto groups = std::make_shared<AggregateTable>(
+      std::max<uint64_t>(1, expected_groups), options, &exec.pool());
+  pstats->alloc_seconds += wall.ElapsedSeconds();
+  return groups;
 }
 
 ShapeBuild& EnsureBuilt(Executor& exec, const Profile& p,
                         const PhysicalShape& shape,
-                        std::map<BuildKey, ShapeBuild>* built) {
+                        std::map<BuildKey, ShapeBuild>* built,
+                        PlanStats* pstats) {
   auto [it, inserted] = built->try_emplace(KeyOf(shape));
   if (inserted && p.join->kind == PlanNodeKind::kHashJoin) {
     const Relation& build_rel = shape.build_side == PlanBuildSide::kInput
                                     ? *p.source->rel
                                     : *p.join->rel;
-    it->second.table = MakeTable(p, build_rel);
+    it->second.table = MakeTable(exec, p, build_rel, pstats);
     it->second.build =
         BuildPhase(exec, build_rel, it->second.table.get(), shape.build_mode);
   }
@@ -613,7 +653,7 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
                          const PlanOptions& options,
                          const std::vector<PhysicalShape>& shapes,
                          std::map<BuildKey, ShapeBuild>* built,
-                         double* chosen_cost) {
+                         double* chosen_cost, PlanStats* pstats) {
   Calibrator& calibrator = exec.calibrator();
   size_t best = 0;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -626,7 +666,7 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
         options.measure_prefix > 0
             ? std::min(n, options.measure_prefix)
             : std::min(n, std::max<uint64_t>(4096, n / 16));
-    ShapeBuild& sb = EnsureBuilt(exec, p, shape, built);
+    ShapeBuild& sb = EnsureBuilt(exec, p, shape, built, pstats);
     double cost = static_cast<double>(sb.build.cycles);
     double selectivity = -1;
     if (prefix_n > 0) {
@@ -638,8 +678,7 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
         pit->second = std::move(prefix);
       }
       const Relation& prefix = pit->second;
-      std::optional<AggregateTable> scratch;
-      AggregateTable* groups = nullptr;
+      std::shared_ptr<AggregateTable> scratch;
       if (p.groupby != nullptr) {
         // Groups are bounded by the prefix rows plus (for non-unique
         // joins) the distinct join-rel payloads.
@@ -648,17 +687,17 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
             p.join->kind == PlanNodeKind::kHashJoin) {
           expected += p.join->rel->size();
         }
-        scratch.emplace(std::max<uint64_t>(1, expected),
-                        ScratchGroupOptions(p));
-        groups = &*scratch;
+        scratch = MakeGroups(exec, expected, ScratchGroupOptions(p), pstats);
       }
-      const RunStats m =
+      AggregateTable* groups = scratch.get();
+      RunStats m =
           shape.pipeline == PlanShape::kTwoPhase
               ? RunTwoPhase(exec, p, prefix, *TableOf(p, sb), groups)
               : RunFused(exec, p, shape, &prefix, TableOf(p, sb), groups);
       cost += static_cast<double>(m.cycles) /
               static_cast<double>(prefix_n) * static_cast<double>(n);
-      selectivity = ObservedSelectivity(m, groups, prefix_n);
+      selectivity = ObservedSelectivity(FinishRun(exec, groups, &m, pstats),
+                                        prefix_n);
     }
     StorePrior(calibrator, ShapeSignature(plan, p, shape), cost, n,
                selectivity);
@@ -823,7 +862,7 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
       estimated = best_cost;
     } else if (options.allow_measure) {
       chosen = MeasureCandidates(exec, plan, p, options, shapes, &built,
-                                 &estimated);
+                                 &estimated, &pstats);
     } else {
       chosen = 0;
       estimated = 0;
@@ -840,9 +879,8 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
     if (p.groupby->group_into != nullptr) {
       groups = p.groupby->group_into;
     } else {
-      result.groups = std::make_shared<AggregateTable>(
-          std::max<uint64_t>(1, p.groupby->expected_groups),
-          p.groupby->group_options);
+      result.groups = MakeGroups(exec, p.groupby->expected_groups,
+                                 p.groupby->group_options, &pstats);
       groups = result.groups.get();
     }
   }
@@ -859,7 +897,7 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
         const Relation& build_rel =
             shape.build_side == PlanBuildSide::kInput ? *p.source->rel
                                                       : *p.join->rel;
-        result.table = MakeTable(p, build_rel);
+        result.table = MakeTable(exec, p, build_rel, &pstats);
         result.build =
             BuildPhase(exec, build_rel, result.table.get(), shape.build_mode);
       }
@@ -878,10 +916,11 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
                                                     : p.source->rel;
     result.run = RunFused(exec, p, shape, probe, table, groups);
   }
+  const uint64_t rows = FinishRun(exec, groups, &result.run, &pstats);
   pstats.measured_cost_cycles =
       static_cast<double>(result.build.cycles + result.run.cycles);
   pstats.observed_selectivity =
-      ObservedSelectivity(result.run, groups, ProbeInputs(p, shape));
+      ObservedSelectivity(rows, ProbeInputs(p, shape));
   // Refresh the chosen shape's prior with the full-run cost and the
   // full-run selectivity, so steady state tracks reality (including the
   // match-rate regime) rather than the first extrapolation forever.
@@ -916,8 +955,12 @@ QueryTicket SubmitCompiled(QueryScheduler& scheduler,
       },
       options, [sinks, group_into](RunStats* run) {
         if (group_into != nullptr) {
-          run->outputs = group_into->CountGroups();
-          run->checksum = group_into->Checksum();
+          // The completion runs inside the pool task that finished the
+          // last morsel, where the non-reentrant pool().Run is off limits:
+          // the summary pass stays serial here.
+          const GroupSummary summary = group_into->Summarize();
+          run->outputs = summary.groups;
+          run->checksum = summary.checksum;
         } else {
           RowSink total;
           for (const RowSink& sink : *sinks) total.Merge(sink);

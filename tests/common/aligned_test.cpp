@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <utility>
+
+#include "common/thread_pool.h"
 
 namespace amac {
 namespace {
@@ -87,6 +90,50 @@ TEST(AlignedBufferTest, RangeForIteration) {
   int sum = 0;
   for (const auto& x : buf) sum += x;
   EXPECT_EQ(sum, 15);
+}
+
+/// A cache-line element with default member initializers and no implicit
+/// padding, so every byte of a constructed element is defined.
+struct alignas(64) Line {
+  int64_t value = 7;
+  uint8_t rest[56] = {};
+};
+
+TEST(AlignedBufferTest, UninitializedConstructsOnlyOnDemand) {
+  auto buf = AlignedBuffer<Line>::Uninitialized(8);
+  ASSERT_EQ(buf.size(), 8u);
+  // Dirty memory.
+  std::memset(static_cast<void*>(buf.data()), 0xA5, 8 * sizeof(Line));
+  const Line expect;
+  Line* third = buf.ConstructAt(3);
+  EXPECT_EQ(third, buf.data() + 3);
+  EXPECT_EQ(std::memcmp(third, &expect, sizeof(Line)), 0);
+  // Neighbours stay untouched until constructed.
+  const auto* raw = reinterpret_cast<const uint8_t*>(buf.data() + 2);
+  EXPECT_EQ(raw[0], 0xA5);
+  EXPECT_EQ(raw[sizeof(Line) * 2], 0xA5);
+  buf.ConstructRange(5, 8);
+  for (std::size_t i = 5; i < 8; ++i) {
+    EXPECT_EQ(std::memcmp(&buf[i], &expect, sizeof(Line)), 0) << i;
+  }
+}
+
+TEST(AlignedBufferTest, ConstructAllOnPoolMatchesSerialBytes) {
+  constexpr std::size_t kCount = 1000;
+  auto serial = AlignedBuffer<Line>::Uninitialized(kCount);
+  std::memset(static_cast<void*>(serial.data()), 0xA5,
+              kCount * sizeof(Line));
+  ConstructAll(serial, nullptr);
+  for (const uint32_t threads : {1u, 3u, 4u}) {
+    ThreadPool pool(threads);
+    auto parallel = AlignedBuffer<Line>::Uninitialized(kCount);
+    std::memset(static_cast<void*>(parallel.data()), 0x5A,
+                kCount * sizeof(Line));
+    ConstructAll(parallel, &pool);
+    EXPECT_EQ(
+        std::memcmp(parallel.data(), serial.data(), kCount * sizeof(Line)), 0)
+        << threads;
+  }
 }
 
 }  // namespace

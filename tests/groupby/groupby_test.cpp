@@ -75,6 +75,12 @@ TEST_P(GroupByEngineTest, MatchesReferenceAggregates) {
   const auto ref = Reference(input);
   EXPECT_EQ(run.outputs, ref.size());
   ExpectMatchesReference(table, ref);
+  // RunGroupBy's summary pass ran on the executor's pool; the serial walk
+  // over the same table agrees bitwise, and every input row was folded in.
+  const GroupSummary serial = table.Summarize();
+  EXPECT_EQ(run.outputs, serial.groups);
+  EXPECT_EQ(run.checksum, serial.checksum);
+  EXPECT_EQ(serial.rows, input.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

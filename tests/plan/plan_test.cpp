@@ -17,6 +17,7 @@
 #include "adaptive/calibrator.h"
 #include "btree/btree.h"
 #include "btree/btree_ops.h"
+#include "common/cycle_timer.h"
 #include "core/pipeline.h"
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
@@ -116,6 +117,11 @@ TEST(PlanDifferentialTest, AllShapesMatchSequentialOracle) {
     pin.build_side = PlanBuildSide::kJoinRel;
     const PlanResult oracle = RunPlan(oracle_exec, plan, pin);
     ASSERT_GT(oracle.run.outputs, 0u);
+    // The oracle's group table, walked group by group.
+    uint64_t oracle_rows = 0;
+    oracle.groups->ForEachGroup([&](const GroupNode& g) {
+      oracle_rows += static_cast<uint64_t>(g.count);
+    });
     for (const ExecPolicy policy :
          {ExecPolicy::kSequential, ExecPolicy::kAmac,
           ExecPolicy::kVectorizedAmac}) {
@@ -136,6 +142,16 @@ TEST(PlanDifferentialTest, AllShapesMatchSequentialOracle) {
           EXPECT_EQ(got.run.checksum, oracle.run.checksum) << label;
           EXPECT_EQ(got.run.plan.shape, shape.pipeline) << label;
           EXPECT_EQ(got.run.plan.build_side, shape.build_side) << label;
+          // The pool-parallel summary pass equals the serial walk over the
+          // same table: groups, rows and checksum.
+          const GroupSummary serial = got.groups->Summarize();
+          EXPECT_EQ(got.run.outputs, serial.groups) << label;
+          EXPECT_EQ(got.run.checksum, serial.checksum) << label;
+          EXPECT_EQ(serial.rows, oracle_rows) << label;
+          EXPECT_EQ(got.run.plan.observed_selectivity,
+                    static_cast<double>(oracle_rows) /
+                        static_cast<double>(got.run.inputs))
+              << label;
         }
       }
     }
@@ -211,6 +227,40 @@ TEST(PlanTest, GroupByIntoUsesCallerTable) {
   AggregateTable owned_oracle(800, AggregateTable::Options{});
   RunGroupBy(exec, input, &owned_oracle);
   EXPECT_EQ(mine.Checksum(), owned_oracle.Checksum());
+}
+
+// ------------------------------------------------------ time attribution --
+
+// PlanStats::alloc_seconds and finalize_seconds attribute the wall time a
+// RunPlan call spends outside its build and run phases; the four phases
+// are disjoint, so they never sum past the call's wall time.
+TEST(PlanTimingTest, AllocAndFinalizeAreAttributed) {
+  const JoinFixture fx(1u << 14, 1u << 15, 1.0);
+  const Plan plan = JoinGroupByPlan(fx, 1u << 14);
+  for (const uint32_t threads : {1u, 4u}) {
+    Executor exec = MakeExec(ExecPolicy::kAmac, 10, threads);
+    // Run 0 takes the measure fallback, run 1 chooses from priors.
+    for (int run = 0; run < 2; ++run) {
+      WallTimer wall;
+      const PlanResult res = RunPlan(exec, plan);
+      const double wall_seconds = wall.ElapsedSeconds();
+      const PlanStats& ps = res.run.plan;
+      const std::string label =
+          "threads=" + std::to_string(threads) + " run=" + std::to_string(run);
+      EXPECT_EQ(ps.from_priors, run == 1) << label;
+      EXPECT_GT(ps.alloc_seconds, 0.0) << label;
+      EXPECT_GT(ps.finalize_seconds, 0.0) << label;
+      EXPECT_LE(res.build.seconds + res.run.seconds + ps.alloc_seconds +
+                    ps.finalize_seconds,
+                wall_seconds)
+          << label;
+    }
+  }
+  // A plan that allocates nothing and aggregates nothing reports zeros.
+  Executor exec = MakeExec(ExecPolicy::kAmac);
+  const PlanResult scan = RunPlan(exec, Plan::Scan(fx.s));
+  EXPECT_EQ(scan.run.plan.alloc_seconds, 0.0);
+  EXPECT_EQ(scan.run.plan.finalize_seconds, 0.0);
 }
 
 // ------------------------------------------------------------ cost model --
