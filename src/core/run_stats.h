@@ -135,8 +135,9 @@ struct PlanStats {
   /// could not observe it.
   double observed_selectivity = -1;
   /// Wall time RunPlan spent allocating plan-owned tables (join table,
-  /// group-by table, measure-fallback scratch tables), bucket arrays
-  /// initialized on the executor's pool.
+  /// group-by table, the measure fallback's scratch table and its clears
+  /// between candidates), bucket arrays initialized on the executor's
+  /// pool.
   double alloc_seconds = 0;
   /// Wall time of RunPlan's group-by finalize passes (group count, rows
   /// and checksum from one parallel summary walk per aggregation).  With

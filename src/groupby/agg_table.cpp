@@ -50,7 +50,8 @@ GroupSummary SummarizeBuckets(const GroupNode* buckets, uint64_t begin,
 
 AggregateTable::AggregateTable(uint64_t expected_groups, Options options,
                                ThreadPool* init_pool)
-    : hash_kind_(options.hash_kind) {
+    // Worst case: every group in an overflow node.
+    : pool_(expected_groups + 1), hash_kind_(options.hash_kind) {
   AMAC_CHECK(expected_groups > 0);
   uint64_t nbuckets = NextPow2(static_cast<uint64_t>(
       static_cast<double>(expected_groups) / options.target_nodes_per_bucket +
@@ -59,19 +60,17 @@ AggregateTable::AggregateTable(uint64_t expected_groups, Options options,
   buckets_ = AlignedBuffer<GroupNode>::Uninitialized(nbuckets);
   ConstructAll(buckets_, init_pool);
   bucket_mask_ = nbuckets - 1;
-  // Worst case: every group in an overflow node.
-  pool_ = AlignedBuffer<GroupNode>::Uninitialized(expected_groups + 1);
 }
 
 GroupNode* AggregateTable::AllocNode() {
-  const uint64_t idx = pool_next_.fetch_add(1, std::memory_order_relaxed);
-  AMAC_CHECK_MSG(idx < pool_.size(), "group node pool exhausted");
-  return pool_.ConstructAt(idx);
+  GroupNode* node = pool_.Alloc();
+  AMAC_CHECK_MSG(node != nullptr, "group node pool exhausted");
+  return node;
 }
 
-void AggregateTable::Clear() {
-  buckets_.ConstructRange(0, buckets_.size());
-  pool_next_.store(0, std::memory_order_relaxed);
+void AggregateTable::Clear(ThreadPool* pool) {
+  ConstructAll(buckets_, pool);
+  pool_.Reset();
 }
 
 void AggregateTable::ForEachGroup(

@@ -19,6 +19,7 @@
 #include "common/hash.h"
 #include "common/latch.h"
 #include "common/macros.h"
+#include "common/node_pool.h"
 #include "relation/relation.h"
 
 namespace amac {
@@ -76,8 +77,9 @@ struct GroupSummary {
   uint64_t checksum = 0;  ///< sum of per-group hashes of the full state
 };
 
-/// The group-node pool is raw storage sized for the worst case (every
-/// group in an overflow node); AllocNode constructs a node when it hands it
+/// The group-node pool (common/node_pool.h) is raw storage sized for the
+/// worst case (every group in an overflow node); each allocating thread
+/// claims chunks of it and AllocNode constructs a node when it hands it
 /// out, so unused pool pages are never touched.
 class AggregateTable {
  public:
@@ -102,8 +104,9 @@ class AggregateTable {
   }
   GroupNode* HeadForKey(int64_t key) { return &buckets_[BucketIndex(key)]; }
 
-  /// Thread-safe bump allocation of an overflow node, freshly constructed:
-  /// unused, unlatched, sentinel key, zeroed aggregates, no next.
+  /// Thread-safe allocation of an overflow node from the calling thread's
+  /// pool chunk, freshly constructed: unused, unlatched, sentinel key,
+  /// zeroed aggregates, no next.
   GroupNode* AllocNode();
 
   uint64_t num_buckets() const { return buckets_.size(); }
@@ -112,7 +115,10 @@ class AggregateTable {
   uint64_t bucket_mask() const { return bucket_mask_; }
   HashKind hash_kind() const { return hash_kind_; }
 
-  void Clear();
+  /// Reset to empty (keeps the allocations).  With `pool`, the bucket
+  /// array is reconstructed on the pool's threads like the constructor's
+  /// (pool->Run: not from inside a pool closure).
+  void Clear(ThreadPool* pool = nullptr);
 
   /// Visit every group (headers + overflow chains) through a type-erased
   /// callback; for tests and reporting, not for per-query finalization.
@@ -138,8 +144,7 @@ class AggregateTable {
 
  private:
   AlignedBuffer<GroupNode> buckets_;
-  AlignedBuffer<GroupNode> pool_;
-  std::atomic<uint64_t> pool_next_{0};
+  NodePool<GroupNode> pool_;
   uint64_t bucket_mask_ = 0;
   HashKind hash_kind_;
 };

@@ -6,9 +6,22 @@
 
 namespace amac {
 
+namespace {
+
+uint64_t OverflowNodes(uint64_t expected_tuples,
+                       const ChainedHashTable::Options& options) {
+  if (options.overflow_capacity != 0) return options.overflow_capacity;
+  // Worst case: every tuple collides into a single chain; the header
+  // absorbs 2 tuples and each overflow node another 2.
+  return expected_tuples / BucketNode::kTuplesPerNode + 2;
+}
+
+}  // namespace
+
 ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options,
                                    ThreadPool* init_pool)
-    : hash_kind_(options.hash_kind) {
+    : overflow_pool_(OverflowNodes(expected_tuples, options)),
+      hash_kind_(options.hash_kind) {
   AMAC_CHECK(expected_tuples > 0);
   AMAC_CHECK(options.target_nodes_per_bucket > 0);
   const double tuples_per_bucket =
@@ -19,26 +32,18 @@ ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options,
   buckets_ = AlignedBuffer<BucketNode>::Uninitialized(nbuckets);
   ConstructAll(buckets_, init_pool);
   bucket_mask_ = nbuckets - 1;
-
-  uint64_t pool_cap = options.overflow_capacity;
-  if (pool_cap == 0) {
-    // Worst case: every tuple collides into a single chain; the header
-    // absorbs 2 tuples and each overflow node another 2.
-    pool_cap = expected_tuples / BucketNode::kTuplesPerNode + 2;
-  }
-  overflow_pool_ = AlignedBuffer<BucketNode>::Uninitialized(pool_cap);
 }
 
 void ChainedHashTable::Clear() {
   buckets_.ConstructRange(0, buckets_.size());
-  pool_next_.store(0, std::memory_order_relaxed);
+  overflow_pool_.Reset();
   has_sentinel_key_.store(false, std::memory_order_relaxed);
 }
 
 BucketNode* ChainedHashTable::AllocOverflowNode() {
-  const uint64_t idx = pool_next_.fetch_add(1, std::memory_order_relaxed);
-  AMAC_CHECK_MSG(idx < overflow_pool_.size(), "overflow pool exhausted");
-  return overflow_pool_.ConstructAt(idx);
+  BucketNode* node = overflow_pool_.Alloc();
+  AMAC_CHECK_MSG(node != nullptr, "overflow pool exhausted");
+  return node;
 }
 
 void ChainedHashTable::InsertInto(BucketNode* head, const Tuple& t) {

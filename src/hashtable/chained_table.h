@@ -21,6 +21,7 @@
 #include "common/hash.h"
 #include "common/latch.h"
 #include "common/macros.h"
+#include "common/node_pool.h"
 #include "common/stats.h"
 #include "relation/relation.h"
 
@@ -74,10 +75,11 @@ struct ChainStats {
   double top1pct_tuple_share = 0;
 };
 
-/// The chained table: bucket header array + bump-allocated overflow pool.
+/// The chained table: bucket header array + chunked overflow pool.
 ///
-/// The overflow pool is raw storage sized for the worst case (every tuple
-/// in one chain); a node is constructed when AllocOverflowNode hands it
+/// The overflow pool (common/node_pool.h) is raw storage sized for the
+/// worst case (every tuple in one chain); each allocating thread claims
+/// chunks of it and a node is constructed when AllocOverflowNode hands it
 /// out, so the pool's untouched tail costs neither set-up time nor
 /// resident memory.
 class ChainedHashTable {
@@ -91,8 +93,8 @@ class ChainedHashTable {
     /// `target_nodes_per_bucket = 2` and key duplication.
     double target_nodes_per_bucket = 1.0;
     HashKind hash_kind = HashKind::kMurmur;
-    /// Overflow pool capacity in nodes; 0 = auto (worst case: all tuples
-    /// collide into one chain).
+    /// Overflow nodes the pool must be able to hand out; 0 = auto (worst
+    /// case: all tuples collide into one chain).
     uint64_t overflow_capacity = 0;
   };
 
@@ -126,8 +128,9 @@ class ChainedHashTable {
     return &buckets_[BucketIndex(key)];
   }
 
-  /// Allocate one overflow node (thread-safe bump allocation), freshly
-  /// constructed: empty, unlatched, sentinel slot keys, no next.
+  /// Allocate one overflow node (thread-safe, from the calling thread's
+  /// pool chunk), freshly constructed: empty, unlatched, sentinel slot
+  /// keys, no next.
   BucketNode* AllocOverflowNode();
 
   /// Record that `key` was stored in the table.  A stored key equal to
@@ -154,9 +157,9 @@ class ChainedHashTable {
   HashKind hash_kind() const { return hash_kind_; }
   BucketNode* buckets() { return buckets_.data(); }
   const BucketNode* buckets() const { return buckets_.data(); }
-  uint64_t overflow_nodes_used() const {
-    return pool_next_.load(std::memory_order_relaxed);
-  }
+  /// Overflow nodes handed out (not merely claimed by a thread's chunk);
+  /// exact once no thread is inserting.
+  uint64_t overflow_nodes_used() const { return overflow_pool_.used(); }
 
   /// Walk every chain and gather shape statistics (not a hot path).
   ChainStats ComputeStats() const;
@@ -174,8 +177,7 @@ class ChainedHashTable {
   void InsertInto(BucketNode* head, const Tuple& t);
 
   AlignedBuffer<BucketNode> buckets_;
-  AlignedBuffer<BucketNode> overflow_pool_;
-  std::atomic<uint64_t> pool_next_{0};
+  NodePool<BucketNode> overflow_pool_;
   std::atomic<bool> has_sentinel_key_{false};
   uint64_t bucket_mask_ = 0;
   HashKind hash_kind_;

@@ -643,29 +643,52 @@ AggregateTable::Options ScratchGroupOptions(const Profile& p) {
   return p.groupby->group_options;
 }
 
+/// Probe rows a measurement runs for a probe side of `n` rows.
+uint64_t PrefixRows(const PlanOptions& options, uint64_t n) {
+  return options.measure_prefix > 0
+             ? std::min(n, options.measure_prefix)
+             : std::min(n, std::max<uint64_t>(4096, n / 16));
+}
+
 /// The measure fallback: build each needed table once at full size,
 /// execute every candidate over a probe prefix into scratch aggregation
 /// state, and extrapolate total cost = build + probe_cpi * n.  Estimates
 /// are stored as priors for every candidate (so the NEXT run of this plan
 /// chooses from priors); the measurement runs themselves are discarded —
-/// only the winner's full table is reused by the final run.
+/// only the winner's full table is reused by the final run.  The scratch
+/// aggregation state is one table, sized for the largest candidate and
+/// cleared between candidates on the executor's pool.
 size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
                          const PlanOptions& options,
                          const std::vector<PhysicalShape>& shapes,
                          std::map<BuildKey, ShapeBuild>* built,
                          double* chosen_cost, PlanStats* pstats) {
   Calibrator& calibrator = exec.calibrator();
+  std::shared_ptr<AggregateTable> scratch;
+  if (p.groupby != nullptr) {
+    // Groups are bounded by the prefix rows plus (for non-unique joins)
+    // the distinct join-rel payloads.
+    uint64_t expected = 0;
+    for (const PhysicalShape& shape : shapes) {
+      expected = std::max(expected,
+                          PrefixRows(options, FullProbe(p, shape).size()));
+    }
+    if (expected > 0) {
+      if (p.join != nullptr && p.join->kind == PlanNodeKind::kHashJoin) {
+        expected += p.join->rel->size();
+      }
+      scratch = MakeGroups(exec, expected, ScratchGroupOptions(p), pstats);
+    }
+  }
   size_t best = 0;
   double best_cost = std::numeric_limits<double>::infinity();
   std::map<int, Relation> prefixes;  ///< by build side
+  bool scratch_dirty = false;
   for (size_t i = 0; i < shapes.size(); ++i) {
     const PhysicalShape& shape = shapes[i];
     const Relation& full = FullProbe(p, shape);
     const uint64_t n = full.size();
-    const uint64_t prefix_n =
-        options.measure_prefix > 0
-            ? std::min(n, options.measure_prefix)
-            : std::min(n, std::max<uint64_t>(4096, n / 16));
+    const uint64_t prefix_n = PrefixRows(options, n);
     ShapeBuild& sb = EnsureBuilt(exec, p, shape, built, pstats);
     double cost = static_cast<double>(sb.build.cycles);
     double selectivity = -1;
@@ -678,17 +701,12 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
         pit->second = std::move(prefix);
       }
       const Relation& prefix = pit->second;
-      std::shared_ptr<AggregateTable> scratch;
-      if (p.groupby != nullptr) {
-        // Groups are bounded by the prefix rows plus (for non-unique
-        // joins) the distinct join-rel payloads.
-        uint64_t expected = prefix_n;
-        if (p.join != nullptr &&
-            p.join->kind == PlanNodeKind::kHashJoin) {
-          expected += p.join->rel->size();
-        }
-        scratch = MakeGroups(exec, expected, ScratchGroupOptions(p), pstats);
+      if (scratch != nullptr && scratch_dirty) {
+        WallTimer wall;
+        scratch->Clear(&exec.pool());
+        pstats->alloc_seconds += wall.ElapsedSeconds();
       }
+      scratch_dirty = true;
       AggregateTable* groups = scratch.get();
       RunStats m =
           shape.pipeline == PlanShape::kTwoPhase

@@ -149,10 +149,14 @@ TEST(EpochTest, ThreadPoolIdleHookDrivesReclamation) {
     EpochGuard guard(&mgr);
     guard.Retire(nullptr, &CountFree, &freed);
   }  // orphaned: only the idle hook can free it now
+  // The hook runs once per worker park, and a park can come while the
+  // guard above still pinned the epoch.  A no-op task per poll wakes the
+  // workers, so each poll parks them again and re-runs the hook.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (freed.load() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
+    pool.Submit([] {});
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(freed.load(), 1u);

@@ -2,11 +2,15 @@
 // ThreadPool are byte-identical to serial construction; node pools are raw
 // storage whose nodes are constructed when handed out, so every node
 // satisfies the slot / used / latch invariants even on recycled heap
-// memory; and ConcurrentChainedTable's raw slabs grow under concurrent
-// inserts without losing or duplicating a key.
+// memory, from any number of allocating threads; the chunked node pools
+// (common/node_pool.h) never run out on the demand they are sized for,
+// drop every thread's chunk on Clear, keep tables apart and count exactly
+// the nodes handed out; and ConcurrentChainedTable's raw slabs grow under
+// concurrent inserts without losing or duplicating a key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -19,6 +23,8 @@
 #include "groupby/agg_table.h"
 #include "hashtable/chained_table.h"
 #include "hashtable/concurrent_table.h"
+#include "join/hash_join.h"
+#include "relation/relation.h"
 
 namespace amac {
 namespace {
@@ -94,62 +100,112 @@ void ExpectFreshBucketNode(const BucketNode& node, const std::string& at) {
   EXPECT_EQ(node.next, nullptr) << at;
 }
 
+/// Hand out `total` nodes through `alloc` from every thread of `pool`
+/// (threads race for the demand, so they end on partial chunks), checking
+/// each with `check` on the thread that got it.  Returns every node.
+template <typename Node, typename Alloc, typename Check>
+std::vector<Node*> AllocAcrossThreads(ThreadPool& pool, uint64_t total,
+                                      Alloc alloc, Check check) {
+  std::vector<std::vector<Node*>> per_thread(pool.size());
+  std::atomic<uint64_t> demand{0};
+  pool.Run([&](uint32_t tid) {
+    while (demand.fetch_add(1, std::memory_order_relaxed) < total) {
+      Node* node = alloc();
+      check(*node);
+      per_thread[tid].push_back(node);
+    }
+  });
+  std::vector<Node*> nodes;
+  for (const auto& mine : per_thread) {
+    nodes.insert(nodes.end(), mine.begin(), mine.end());
+  }
+  return nodes;
+}
+
+template <typename Node>
+bool AllDistinct(std::vector<Node*> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  return std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end();
+}
+
+// Each table at two sizes: a ~500-node pool claimed one node at a time,
+// and a ~32K-node pool (2 MiB, still heap) claimed in chunks.
+constexpr uint64_t kPoolTupleCounts[] = {1024, uint64_t{1} << 16};
+constexpr uint64_t kPoolGroupCounts[] = {512, uint64_t{1} << 15};
+
 TEST(PoolNodeInvariantTest, OverflowNodesAreConstructedOnAllocation) {
-  constexpr uint64_t kTuples = 1024;  // pool: 514 nodes, 32 KiB
-  DirtyHeap((kTuples / 2 + 2) * sizeof(BucketNode));
-  ChainedHashTable table(kTuples, ChainedHashTable::Options{});
-  for (int round = 0; round < 2; ++round) {
-    std::vector<BucketNode*> nodes;
-    for (uint64_t i = 0; i < kTuples / 2 + 2; ++i) {
-      BucketNode* node = table.AllocOverflowNode();
-      ExpectFreshBucketNode(*node, "round " + std::to_string(round) +
-                                       " node " + std::to_string(i));
-      nodes.push_back(node);
+  for (const uint64_t tuples : kPoolTupleCounts) {
+    const uint64_t nodes = tuples / 2 + 2;  // the pool's worst-case demand
+    for (const uint32_t threads : {1u, 2u, 4u}) {
+      const std::string at = "tuples=" + std::to_string(tuples) +
+                             " threads=" + std::to_string(threads);
+      ThreadPool pool(threads);
+      DirtyHeap(nodes * sizeof(BucketNode));
+      DirtyHeap(nodes * sizeof(BucketNode));
+      ChainedHashTable table(tuples, ChainedHashTable::Options{});
+      for (int round = 0; round < 2; ++round) {
+        const std::vector<BucketNode*> got = AllocAcrossThreads<BucketNode>(
+            pool, nodes, [&] { return table.AllocOverflowNode(); },
+            [&](const BucketNode& node) {
+              ExpectFreshBucketNode(node, at + " round " +
+                                              std::to_string(round));
+            });
+        ASSERT_EQ(got.size(), nodes) << at;
+        EXPECT_TRUE(AllDistinct(got)) << at;
+        EXPECT_EQ(table.overflow_nodes_used(), nodes) << at;
+        // Scribble over every node as a build would, then Clear: the next
+        // round must hand them out fresh again.
+        for (BucketNode* node : got) {
+          ASSERT_TRUE(node->latch.TryAcquireUnsync());
+          node->count = 2;
+          node->pad[0] = 9;
+          node->tuples[0] = Tuple{1, 2};
+          node->tuples[1] = Tuple{3, 4};
+          node->next = node;
+        }
+        table.Clear();
+      }
     }
-    // Scribble over every node as a build would, then Clear: the next
-    // round must hand them out fresh again.
-    for (BucketNode* node : nodes) {
-      ASSERT_TRUE(node->latch.TryAcquireUnsync());
-      node->count = 2;
-      node->pad[0] = 9;
-      node->tuples[0] = Tuple{1, 2};
-      node->tuples[1] = Tuple{3, 4};
-      node->next = node;
-    }
-    table.Clear();
   }
 }
 
 TEST(PoolNodeInvariantTest, GroupNodesAreConstructedOnAllocation) {
-  constexpr uint64_t kGroups = 512;  // pool: 513 nodes, 32 KiB
-  DirtyHeap((kGroups + 1) * sizeof(GroupNode));
-  AggregateTable table(kGroups, AggregateTable::Options{});
-  for (int round = 0; round < 2; ++round) {
-    std::vector<GroupNode*> nodes;
-    for (uint64_t i = 0; i < kGroups + 1; ++i) {
-      GroupNode* node = table.AllocNode();
-      const std::string at =
-          "round " + std::to_string(round) + " node " + std::to_string(i);
-      EXPECT_FALSE(node->latch.IsHeld()) << at;
-      EXPECT_EQ(node->used, 0u) << at;
-      EXPECT_TRUE(AllZero(node->pad, sizeof(node->pad))) << at;
-      EXPECT_EQ(node->key, GroupNode::kEmptyGroupKey) << at;
-      EXPECT_EQ(node->count, 0) << at;
-      EXPECT_EQ(node->sum, 0) << at;
-      EXPECT_EQ(node->min, 0) << at;
-      EXPECT_EQ(node->max, 0) << at;
-      EXPECT_EQ(node->sumsq, 0u) << at;
-      EXPECT_EQ(node->next, nullptr) << at;
-      nodes.push_back(node);
+  for (const uint64_t groups : kPoolGroupCounts) {
+    const uint64_t nodes = groups + 1;  // the pool's worst-case demand
+    for (const uint32_t threads : {1u, 2u, 4u}) {
+      const std::string at = "groups=" + std::to_string(groups) +
+                             " threads=" + std::to_string(threads);
+      ThreadPool pool(threads);
+      DirtyHeap(nodes * sizeof(GroupNode));
+      DirtyHeap(nodes * sizeof(GroupNode));
+      AggregateTable table(groups, AggregateTable::Options{});
+      for (int round = 0; round < 2; ++round) {
+        const std::vector<GroupNode*> got = AllocAcrossThreads<GroupNode>(
+            pool, nodes, [&] { return table.AllocNode(); },
+            [&](const GroupNode& node) {
+              EXPECT_FALSE(node.latch.IsHeld()) << at;
+              EXPECT_EQ(node.used, 0u) << at;
+              EXPECT_TRUE(AllZero(node.pad, sizeof(node.pad))) << at;
+              EXPECT_EQ(node.key, GroupNode::kEmptyGroupKey) << at;
+              EXPECT_EQ(node.count, 0) << at;
+              EXPECT_EQ(node.sum, 0) << at;
+              EXPECT_EQ(node.min, 0) << at;
+              EXPECT_EQ(node.max, 0) << at;
+              EXPECT_EQ(node.sumsq, 0u) << at;
+              EXPECT_EQ(node.next, nullptr) << at;
+            });
+        ASSERT_EQ(got.size(), nodes) << at;
+        EXPECT_TRUE(AllDistinct(got)) << at;
+        for (GroupNode* node : got) {
+          ASSERT_TRUE(node->latch.TryAcquireUnsync());
+          node->used = 1;
+          node->key = 5;
+          node->Accumulate(7);
+          node->next = node;
+        }
+        table.Clear();
+      }
     }
-    for (GroupNode* node : nodes) {
-      ASSERT_TRUE(node->latch.TryAcquireUnsync());
-      node->used = 1;
-      node->key = 5;
-      node->Accumulate(7);
-      node->next = node;
-    }
-    table.Clear();
   }
 }
 
@@ -195,6 +251,175 @@ TEST(PoolNodeInvariantTest, ConcurrentTableNodesAreConstructedOnAllocation) {
     }
     EXPECT_EQ(checked, audit.chain_nodes);
     epochs.ReclaimAll();
+  }
+}
+
+// ----------------------------------------------------- chunked pools --
+
+TEST(ChunkedPoolTest, WorstCaseDemandNeverExhaustsEitherPool) {
+  // Threads race for exactly the demand each pool is sized for, so every
+  // thread ends on a partial chunk: the slack must absorb all of them.
+  constexpr uint64_t kKeys = uint64_t{1} << 18;
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    ChainedHashTable join(kKeys, ChainedHashTable::Options{});
+    const auto spills = AllocAcrossThreads<BucketNode>(
+        pool, kKeys / 2 + 2, [&] { return join.AllocOverflowNode(); },
+        [](const BucketNode&) {});
+    EXPECT_TRUE(AllDistinct(spills)) << "threads=" << threads;
+    EXPECT_EQ(join.overflow_nodes_used(), kKeys / 2 + 2);
+    AggregateTable groups(kKeys, AggregateTable::Options{});
+    const auto nodes = AllocAcrossThreads<GroupNode>(
+        pool, kKeys + 1, [&] { return groups.AllocNode(); },
+        [](const GroupNode&) {});
+    EXPECT_TRUE(AllDistinct(nodes)) << "threads=" << threads;
+  }
+}
+
+TEST(ChunkedPoolTest, SingleBucketBuildNeverExhaustsPool) {
+  // Every tuple in one chain: the header keeps two, and each further pair
+  // evicts into an overflow node, from whichever thread inserts it.
+  constexpr uint64_t kTuples = uint64_t{1} << 18;
+  Relation rel(kTuples);
+  for (uint64_t i = 0; i < kTuples; ++i) {
+    rel[i] = Tuple{7, static_cast<int64_t>(i)};
+  }
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    ChainedHashTable table(kTuples, ChainedHashTable::Options{});
+    BuildTableParallel(rel, threads, &table);
+    const ChainStats stats = table.ComputeStats();
+    EXPECT_EQ(stats.total_tuples, kTuples) << "threads=" << threads;
+    EXPECT_EQ(stats.used_buckets, 1u);
+    EXPECT_EQ(table.overflow_nodes_used(), kTuples / 2 - 1);
+    EXPECT_EQ(table.overflow_nodes_used(), stats.total_nodes - 1);
+  }
+}
+
+/// Hand out `per_thread` nodes on every thread of `pool`; returns the
+/// lowest node, which is the pool's first.
+template <typename Node, typename Alloc>
+Node* FirstOfRound(ThreadPool& pool, uint64_t per_thread, Alloc alloc) {
+  const uint64_t total = per_thread * pool.size();
+  std::vector<Node*> nodes(total);
+  pool.Run([&](uint32_t tid) {
+    for (uint64_t i = 0; i < per_thread; ++i) {
+      nodes[tid * per_thread + i] = alloc();
+    }
+  });
+  return *std::min_element(nodes.begin(), nodes.end());
+}
+
+/// Run `alloc` once on thread `tid` of `pool`.
+template <typename Node, typename Alloc>
+Node* AllocOn(ThreadPool& pool, uint32_t tid, Alloc alloc) {
+  Node* node = nullptr;
+  pool.Run([&](uint32_t t) {
+    if (t == tid) node = alloc();
+  });
+  return node;
+}
+
+TEST(ChunkedPoolTest, ClearDropsEveryThreadsChunk) {
+  // After Clear, a thread that still held part of a chunk must claim
+  // afresh: its next node is the pool's first, not the rest of its chunk.
+  constexpr uint64_t kKeys = uint64_t{1} << 16;
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    ChainedHashTable join(kKeys, ChainedHashTable::Options{});
+    AggregateTable groups(kKeys, AggregateTable::Options{});
+    auto spill = [&] { return join.AllocOverflowNode(); };
+    auto group = [&] { return groups.AllocNode(); };
+    BucketNode* const join_first = FirstOfRound<BucketNode>(pool, 3, spill);
+    GroupNode* const group_first = FirstOfRound<GroupNode>(pool, 3, group);
+    for (uint32_t tid = 0; tid < threads; ++tid) {
+      join.Clear();
+      EXPECT_EQ(join.overflow_nodes_used(), 0u);
+      EXPECT_EQ(AllocOn<BucketNode>(pool, tid, spill), join_first)
+          << "threads=" << threads << " tid=" << tid;
+      EXPECT_EQ(join.overflow_nodes_used(), 1u);
+      groups.Clear(tid % 2 == 0 ? &pool : nullptr);
+      EXPECT_EQ(AllocOn<GroupNode>(pool, tid, group), group_first)
+          << "threads=" << threads << " tid=" << tid;
+      // Leave every thread with a partial chunk again.
+      FirstOfRound<BucketNode>(pool, 3, spill);
+      FirstOfRound<GroupNode>(pool, 3, group);
+    }
+  }
+}
+
+TEST(ChunkedPoolTest, TableAtAReusedAddressStartsFromItsOwnPool) {
+  constexpr uint64_t kKeys = uint64_t{1} << 16;
+  ThreadPool pool(4);
+  alignas(ChainedHashTable) unsigned char storage[sizeof(ChainedHashTable)];
+  for (int round = 0; round < 3; ++round) {
+    auto* table =
+        new (storage) ChainedHashTable(kKeys, ChainedHashTable::Options{});
+    EXPECT_EQ(table->overflow_nodes_used(), 0u);
+    const auto nodes = AllocAcrossThreads<BucketNode>(
+        pool, 100, [&] { return table->AllocOverflowNode(); },
+        [&](const BucketNode& node) { ExpectFreshBucketNode(node, "reuse"); });
+    EXPECT_TRUE(AllDistinct(nodes));
+    EXPECT_EQ(table->overflow_nodes_used(), 100u) << "round " << round;
+    table->~ChainedHashTable();
+  }
+}
+
+TEST(ChunkedPoolTest, AlternatingTablesNeverShareNodes) {
+  constexpr uint64_t kKeys = uint64_t{1} << 16;
+  constexpr uint64_t kPerThread = 1000;
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    ChainedHashTable join_a(kKeys, ChainedHashTable::Options{});
+    ChainedHashTable join_b(kKeys, ChainedHashTable::Options{});
+    AggregateTable groups_a(kKeys, AggregateTable::Options{});
+    AggregateTable groups_b(kKeys, AggregateTable::Options{});
+    std::vector<std::vector<void*>> a(threads), b(threads);
+    pool.Run([&](uint32_t tid) {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        a[tid].push_back(join_a.AllocOverflowNode());
+        a[tid].push_back(groups_a.AllocNode());
+        b[tid].push_back(join_b.AllocOverflowNode());
+        b[tid].push_back(groups_b.AllocNode());
+      }
+    });
+    std::vector<void*> all;
+    for (uint32_t t = 0; t < threads; ++t) {
+      all.insert(all.end(), a[t].begin(), a[t].end());
+      all.insert(all.end(), b[t].begin(), b[t].end());
+    }
+    EXPECT_EQ(all.size(), 4 * kPerThread * threads);
+    EXPECT_TRUE(AllDistinct(all)) << "threads=" << threads;
+    EXPECT_EQ(join_a.overflow_nodes_used(), kPerThread * threads);
+    EXPECT_EQ(join_b.overflow_nodes_used(), kPerThread * threads);
+  }
+}
+
+/// Overflow nodes linked into the chains: every chain node but the
+/// header of a used bucket.
+uint64_t LinkedOverflowNodes(const ChainedHashTable& table) {
+  const ChainStats stats = table.ComputeStats();
+  return stats.total_nodes - stats.used_buckets;
+}
+
+TEST(ChunkedPoolTest, OverflowCountMatchesChainWalk) {
+  // overflow_nodes_used() counts nodes handed out, not nodes claimed into
+  // threads' chunks, so the space it reports is exact.
+  const Relation rel = MakeZipfRelation(1 << 16, 1 << 14, 0.5, 91);
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    ChainedHashTable latched(rel.size(), ChainedHashTable::Options{});
+    BuildTableParallel(rel, threads, &latched);
+    EXPECT_GT(latched.overflow_nodes_used(), 0u);
+    EXPECT_EQ(latched.overflow_nodes_used(), LinkedOverflowNodes(latched))
+        << "InsertSync threads=" << threads;
+    for (const PlanBuildMode mode :
+         {PlanBuildMode::kChained, PlanBuildMode::kPartitioned}) {
+      Executor exec(ExecConfig{ExecPolicy::kAmac, SchedulerParams{8, 1, 0},
+                               threads, 0});
+      ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
+      BuildPhase(exec, rel, &table, mode);
+      EXPECT_EQ(table.overflow_nodes_used(), LinkedOverflowNodes(table))
+          << PlanBuildModeName(mode) << " threads=" << threads;
+    }
   }
 }
 
