@@ -36,7 +36,7 @@ inline constexpr ExecPolicy kPaperPolicies[] = {
     ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac};
 
 /// Figure-series label: the paper calls kSequential "Baseline"; the other
-/// policies keep their runtime names (GP/SPP/AMAC/Coroutine).
+/// policies keep their runtime names (GP/SPP/AMAC/...).
 inline const char* SeriesName(ExecPolicy p) {
   return p == ExecPolicy::kSequential ? "Baseline" : ExecPolicyName(p);
 }

@@ -1,6 +1,6 @@
 // Extension (paper §8 future work): random walks over a CSR graph, run
 // through the unified runtime (core/scheduler.h) under every ExecPolicy,
-// then scaled across threads with the morsel-driven parallel driver.
+// then scaled across threads with the morsel-driven Executor.
 // Dependent chain per hop: adjacency row bounds -> random edge -> next
 // vertex.  Target skew (power-law in-degree) supplies the irregularity
 // knob.
@@ -37,7 +37,7 @@ int Run(int argc, char** argv) {
   PrintHeader("Extension: graph random walks (paper §8 future work)",
               "CSR graph 2^" + std::to_string(args.flags.GetInt("scale_log2")) +
                   " vertices, out-degree 8; every ExecPolicy via "
-                  "Run(policy, ...), then the morsel-driven driver");
+                  "Run(policy, ...), then the morsel-driven Executor");
 
   // Same SPP pipeline shape the pre-runtime bench used: 2*hops stages at
   // distance inflight/(2*hops) + 1.
@@ -46,12 +46,12 @@ int Run(int argc, char** argv) {
 
   TablePrinter table("graph random walks: cycles per hop (1 thread)",
                      {"target skew", "Sequential", "GP", "SPP", "AMAC",
-                      "Coroutine", "Vectorized", "VecAMAC"});
+                      "Vectorized", "VecAMAC"});
   TablePrinter par_table(
       "graph random walks: cycles per hop (" + std::to_string(threads) +
           " threads, morsel-driven Executor)",
-      {"target skew", "Sequential", "GP", "SPP", "AMAC", "Coroutine",
-       "Vectorized", "VecAMAC"});
+      {"target skew", "Sequential", "GP", "SPP", "AMAC", "Vectorized",
+       "VecAMAC"});
   Executor par_exec(
       ExecConfig{ExecPolicy::kAmac, params, threads, 0});
   for (double theta : {0.0, 0.99}) {

@@ -24,7 +24,6 @@ double EstimatedInstrPerTuple(ExecPolicy policy) {
     case ExecPolicy::kGroupPrefetch: return 34;
     case ExecPolicy::kSoftwarePipelined: return 27;
     case ExecPolicy::kAmac: return 22;
-    case ExecPolicy::kCoroutine: return 25;  // AMAC + frame resume overhead
     case ExecPolicy::kVectorized: return 9;  // 8 lanes share one gather seq
     case ExecPolicy::kVectorizedAmac: return 11;
     case ExecPolicy::kAdaptive: return 22;   // resolves to a static schedule

@@ -1,7 +1,7 @@
-// Writing your own AMAC operation, two ways:
-//  1. as a stage machine driven by the generic engine (core/engine.h);
-//  2. as a C++20 coroutine driven by the interleaver (coro/) — the
-//     "escape-and-reenter" model the paper's §6 sketches as future work.
+// Writing your own AMAC operation: a stage machine driven by the generic
+// engine (core/engine.h).  Start() issues the first prefetch, each Step()
+// consumes one node and either finishes or prefetches the next and parks;
+// the same op then runs under every schedule.
 //
 // The example data structure is a bucketed directed graph walk: each lookup
 // chases `hops` random pointers through a large node array — the purest
@@ -15,8 +15,6 @@
 #include "common/prefetch.h"
 #include "common/rng.h"
 #include "core/engine.h"
-#include "coro/interleaver.h"
-#include "coro/task.h"
 
 namespace {
 
@@ -41,7 +39,7 @@ amac::AlignedBuffer<GraphNode> MakeGraph(uint64_t n, uint64_t seed) {
   return nodes;
 }
 
-/// Way 1: the lookup as an explicit stage machine.
+/// The lookup as an explicit stage machine.
 class GraphWalkOp {
  public:
   struct State {
@@ -76,19 +74,6 @@ class GraphWalkOp {
   uint64_t* sum_;
 };
 
-/// Way 2: the same lookup as a coroutine — straight-line code, the
-/// compiler keeps the state.
-amac::coro::Task GraphWalkTask(const GraphNode* node, uint32_t hops,
-                               uint64_t* sum) {
-  co_await amac::coro::PrefetchAwait{node};
-  for (uint32_t h = 0; h < hops; ++h) {
-    *sum += node->value;
-    if (h + 1 == hops) break;
-    node = node->next;
-    co_await amac::coro::PrefetchAwait{node};
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,16 +103,6 @@ int main(int argc, char** argv) {
   const amac::EngineStats stats = amac::RunAmac(op_amac, lookups, m);
   const uint64_t amac_cycles = timer.Elapsed();
 
-  // Coroutine interleaving of the same walk.
-  uint64_t sum_coro = 0;
-  timer.Restart();
-  amac::coro::Interleave(
-      [&](uint64_t idx) {
-        return GraphWalkTask(&graph[(idx * 7919) % n], hops, &sum_coro);
-      },
-      lookups, m);
-  const uint64_t coro_cycles = timer.Elapsed();
-
   std::printf("graph walk: %llu lookups x %u hops\n",
               static_cast<unsigned long long>(lookups), hops);
   std::printf("sequential: %6.1f cycles/lookup\n",
@@ -136,10 +111,7 @@ int main(int argc, char** argv) {
               static_cast<double>(amac_cycles) / lookups,
               static_cast<double>(seq_cycles) / amac_cycles,
               stats.StepsPerLookup());
-  std::printf("coroutines: %6.1f cycles/lookup (%.2fx)\n",
-              static_cast<double>(coro_cycles) / lookups,
-              static_cast<double>(seq_cycles) / coro_cycles);
-  if (sum_seq != sum_amac || sum_seq != sum_coro) {
+  if (sum_seq != sum_amac) {
     std::fprintf(stderr, "sums disagree!\n");
     return 1;
   }

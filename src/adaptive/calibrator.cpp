@@ -132,16 +132,14 @@ uint64_t AdaptiveMorselSize(uint64_t num_inputs, uint32_t slots,
                             const AdaptiveConfig& config) {
   if (num_inputs == 0) return 1;
   uint32_t max_inflight = 1;
-  size_t grid_points = 2;  // kSequential + kVectorized
   for (const uint32_t m : config.inflight_grid) {
-    if (m == 0) continue;
     max_inflight = std::max(max_inflight, m);
-    grid_points += 5;  // GP/SPP/AMAC/Coroutine/VecAMAC at this width
   }
   // Room for ~2 tournament rounds' worth of measurement plus steady-state
   // claims on every slot.
   const uint64_t target_morsels =
-      8 * static_cast<uint64_t>(grid_points) + 8 * std::max(1u, slots);
+      8 * static_cast<uint64_t>(Calibrator::Grid(config).size()) +
+      8 * std::max(1u, slots);
   constexpr uint64_t kMaxMorsel = uint64_t{1} << 16;
   const uint64_t floor = std::min<uint64_t>(
       kMaxMorsel, std::max<uint64_t>(128, 4ull * max_inflight));
@@ -154,9 +152,11 @@ std::vector<GridPoint> Calibrator::Grid(const AdaptiveConfig& config) {
   // Pure batch vectorization has no meaningful M (one vector in flight);
   // one grid point at the vector width.
   grid.push_back(GridPoint{ExecPolicy::kVectorized, 8});
+  // SPP stays selectable as a static policy (the paper's baseline) but is
+  // not searched: it never measured best on any workload, and every point
+  // costs calibration morsels.
   for (const ExecPolicy policy :
-       {ExecPolicy::kGroupPrefetch, ExecPolicy::kSoftwarePipelined,
-        ExecPolicy::kAmac, ExecPolicy::kCoroutine,
+       {ExecPolicy::kGroupPrefetch, ExecPolicy::kAmac,
         ExecPolicy::kVectorizedAmac}) {
     for (const uint32_t m : config.inflight_grid) {
       if (m == 0) continue;

@@ -54,8 +54,8 @@ inline bool operator==(const GridPoint& a, const GridPoint& b) {
 /// exploration, so "pick for me" costs a few percent of steady-state
 /// throughput at most.
 struct AdaptiveConfig {
-  /// In-flight widths crossed with every non-sequential static policy
-  /// (kSequential contributes a single grid point).  Zeroes are ignored.
+  /// In-flight widths crossed with GP, AMAC and VecAMAC (kSequential and
+  /// kVectorized contribute a single grid point each).  Zeroes are ignored.
   uint32_t inflight_grid[4] = {4, 10, 16, 32};
   /// Measurement morsels per surviving grid point per halving round.
   uint32_t measure_morsels = 1;
@@ -183,8 +183,9 @@ class Calibrator {
  public:
   Calibrator() = default;
 
-  /// The candidate grid for `config`: kSequential once, every other static
-  /// policy crossed with the configured in-flight widths.
+  /// The candidate grid for `config`: kSequential and kVectorized once
+  /// each, GP, AMAC and VecAMAC crossed with the configured in-flight
+  /// widths (14 points by default).
   static std::vector<GridPoint> Grid(const AdaptiveConfig& config);
 
   /// Cached result for `sig`, counting a hit or miss; invalid signatures

@@ -17,6 +17,24 @@ void ParallelFor(uint32_t num_threads,
   for (auto& th : threads) th.join();
 }
 
+uint64_t ResolveMorselSize(uint64_t num_inputs, uint32_t num_threads,
+                           uint64_t requested, uint32_t inflight) {
+  if (requested > 0) return requested;
+  if (num_inputs == 0) return 1;
+  // Target ~8 morsels per thread so claim-order imbalance evens out, but
+  // keep every morsel large enough that the schedule's in-flight window
+  // (and its fill/drain ramp) is amortized, and cap it so no single claim
+  // dominates the tail.
+  constexpr uint64_t kMaxMorsel = uint64_t{1} << 16;
+  const uint64_t target =
+      num_inputs / (static_cast<uint64_t>(std::max(1u, num_threads)) * 8);
+  // The floor itself must respect the cap, or clamp(lo > hi) is UB for
+  // absurd in-flight widths.
+  const uint64_t floor = std::min(
+      kMaxMorsel, std::max<uint64_t>(1024, 8ull * std::max(1u, inflight)));
+  return std::clamp(target, floor, kMaxMorsel);
+}
+
 ThreadPool::ThreadPool(uint32_t num_threads)
     : num_threads_(std::max(1u, num_threads)) {
   workers_.reserve(num_threads_ - 1);

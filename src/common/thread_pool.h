@@ -1,5 +1,6 @@
 // Thread team primitives: per-call fork-join (ParallelFor), a persistent
-// fork-join team with a task queue (ThreadPool), and the morsel cursor.
+// fork-join team with a task queue (ThreadPool), and the morsel cursor with
+// its sizing rule.
 //
 // Benchmarks need "run this closure on T threads, each knowing its id, and
 // join"; the serving layer additionally needs "run these queued tasks on
@@ -110,7 +111,7 @@ Range PartitionRange(uint64_t total, uint32_t parts, uint32_t index);
 /// Atomic work-stealing cursor over [0, total): threads claim fixed-size
 /// morsels until the input is exhausted.  Unlike PartitionRange's static
 /// split, stragglers (skewed chains, latch contention) cannot leave other
-/// threads idle — the morsel-driven parallelism the parallel driver uses.
+/// threads idle — the morsel-driven parallelism the QueryScheduler uses.
 class MorselCursor {
  public:
   MorselCursor(uint64_t total, uint64_t morsel_size)
@@ -136,6 +137,12 @@ class MorselCursor {
   const uint64_t total_;
   const uint64_t morsel_;
 };
+
+/// Morsel sizing: `requested` wins when nonzero; otherwise aim for several
+/// morsels per thread (load balance) without dropping below a floor that
+/// keeps the in-flight window busy inside each morsel.
+uint64_t ResolveMorselSize(uint64_t num_inputs, uint32_t num_threads,
+                           uint64_t requested, uint32_t inflight);
 
 /// Value-construct every element of `buf` (an AlignedBuffer::Uninitialized
 /// allocation) in one pass: on `pool`'s threads, each first-touching its

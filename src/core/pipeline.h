@@ -1,12 +1,12 @@
 // Composable Pipeline / Executor API: multi-operator queries fused through
 // one runtime entry point.
 //
-// The unified runtime (core/scheduler.h, core/parallel_driver.h) runs ONE
-// stage machine over N inputs.  Analytics queries are chains of operators —
-// the paper's headline multi-operator workload is a hash-join probe feeding
-// a group-by — and running them as disjoint phases materializes every
-// intermediate result and re-pays the scheduling ramp per operator.  This
-// header adds the layer above the engine:
+// The unified runtime (core/scheduler.h) runs ONE stage machine over N
+// inputs.  Analytics queries are chains of operators — the paper's headline
+// multi-operator workload is a hash-join probe feeding a group-by — and
+// running them as disjoint phases materializes every intermediate result
+// and re-pays the scheduling ramp per operator.  This header adds the layer
+// above the engine:
 //
 //   * a *stage* concept: a resumable machine consuming one input row and
 //     emitting zero or more output rows, parking on its own prefetches;
@@ -50,7 +50,6 @@
 #include "common/hash.h"
 #include "common/prefetch.h"
 #include "common/thread_pool.h"
-#include "core/parallel_driver.h"
 #include "core/run_stats.h"
 #include "core/scheduler.h"
 #include "metrics/perf_counters.h"
@@ -320,7 +319,7 @@ class Pipeline {
   uint64_t size() const { return source_.size(); }
 
   /// Materialize the fused engine operation emitting terminal rows into
-  /// `sink` (one per thread under the parallel driver).
+  /// `sink` (one per execution slot on multi-thread runs).
   template <typename Sink>
   FusedOp<Source, Sink, Stages...> Compile(Sink& sink) const {
     return FusedOp<Source, Sink, Stages...>(source_, stages_, sink);
@@ -345,9 +344,9 @@ Pipeline<std::decay_t<Source>> From(Source&& source) {
 
 /// Degenerate pipeline wrapping an existing engine Operation (the
 /// core/engine.h concept).  Executor::Run dispatches it exactly as the free
-/// Run(policy, params, op, n) / RunParallel would, so engine counters are
-/// identical to the free-function path — pinned by the pipeline property
-/// tests.  `make_op(tid)` builds the per-thread operation.
+/// Run(policy, params, op, n) would, so engine counters are identical to
+/// the free-function path — pinned by the pipeline property tests.
+/// `make_op(tid)` builds the per-thread operation.
 template <typename OpFactory>
 class OpPipeline {
  public:

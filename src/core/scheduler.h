@@ -1,9 +1,9 @@
 // Unified policy-based execution runtime.
 //
 // The engine schedules in core/engine.h (sequential, GP, SPP, AMAC) and the
-// coroutine interleaver in coro/ are the same abstraction — "run N inputs
-// through a resumable operation, differing only in when each input's next
-// stage executes" — but historically were five disconnected entry points
+// SIMD schedules in core/vector_engine.h are the same abstraction — "run N
+// inputs through a resumable operation, differing only in when each input's
+// next stage executes" — but historically were disconnected entry points
 // that every bench wired up by hand.  This header collapses them behind one
 // runtime-selectable dispatcher:
 //
@@ -11,11 +11,9 @@
 //   EngineStats stats = Run(ExecPolicy::kAmac, params, op, num_inputs);
 //
 // Any operation satisfying the engine.h Operation concept works with every
-// policy, including kCoroutine: a generic adapter wraps the stage machine in
-// a C++20 coroutine frame and lets the interleaver do the scheduling, so
-// layers get the §6 "coroutine framework" for free without writing co_await
-// code.  The parallel driver (core/parallel_driver.h) shards any policy
-// across threads with morsel-driven work stealing.
+// policy.  The Executor (core/pipeline.h) and the QueryScheduler
+// (server/query_scheduler.h) shard any policy across threads with
+// morsel-driven work claiming.
 #pragma once
 
 #include <algorithm>
@@ -23,40 +21,34 @@
 
 #include "core/engine.h"
 #include "core/vector_engine.h"
-#include "coro/interleaver.h"
-#include "coro/task.h"
 
 namespace amac {
 
 /// The schedules a workload can be executed with, selectable at runtime.
 /// kSequential..kAmac map onto the engine.h schedules (and onto the
-/// paper's Baseline/GP/SPP/AMAC); kCoroutine runs the same operation
-/// through the coro/ interleaver (§6's framework direction).  kVectorized
-/// and kVectorizedAmac are the SIMD schedules (core/vector_engine.h):
-/// batch-gather vectorization and interleaved multi-vectorization; ops
-/// without a vector interface run them as their scheduling-equivalent
-/// scalar schedule (sequential / AMAC).  kAdaptive is not a schedule of
-/// its own: it asks the runtime to *measure and choose* among the static
-/// schedules per query (src/adaptive/), so it is only meaningful on the
-/// morselized paths (Executor / QueryScheduler).
+/// paper's Baseline/GP/SPP/AMAC).  kVectorized and kVectorizedAmac are the
+/// SIMD schedules (core/vector_engine.h): batch-gather vectorization and
+/// interleaved multi-vectorization; ops without a vector interface run them
+/// as their scheduling-equivalent scalar schedule (sequential / AMAC).
+/// kAdaptive is not a schedule of its own: it asks the runtime to *measure
+/// and choose* among the static schedules per query (src/adaptive/), so it
+/// is only meaningful on the morselized paths (Executor / QueryScheduler).
 enum class ExecPolicy : uint8_t {
   kSequential,
   kGroupPrefetch,
   kSoftwarePipelined,
   kAmac,
-  kCoroutine,
   kVectorized,
   kVectorizedAmac,
   kAdaptive,
 };
 
-/// The seven concrete (static) schedules — the candidate set kAdaptive
+/// The six concrete (static) schedules — the candidate set kAdaptive
 /// chooses from, and what every differential/oracle loop iterates.
 inline constexpr ExecPolicy kAllExecPolicies[] = {
     ExecPolicy::kSequential,        ExecPolicy::kGroupPrefetch,
     ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac,
-    ExecPolicy::kCoroutine,         ExecPolicy::kVectorized,
-    ExecPolicy::kVectorizedAmac,
+    ExecPolicy::kVectorized,        ExecPolicy::kVectorizedAmac,
 };
 
 inline constexpr size_t kNumStaticExecPolicies =
@@ -78,7 +70,6 @@ inline const char* ExecPolicyName(ExecPolicy policy) {
     case ExecPolicy::kGroupPrefetch: return "GP";
     case ExecPolicy::kSoftwarePipelined: return "SPP";
     case ExecPolicy::kAmac: return "AMAC";
-    case ExecPolicy::kCoroutine: return "Coroutine";
     case ExecPolicy::kVectorized: return "Vectorized";
     case ExecPolicy::kVectorizedAmac: return "VecAMAC";
     case ExecPolicy::kAdaptive: return "Adaptive";
@@ -87,7 +78,7 @@ inline const char* ExecPolicyName(ExecPolicy policy) {
 }
 
 /// Tuning knobs shared by every policy.  `inflight` is the paper's M (AMAC
-/// slot count, GP group size, SPP window, coroutine width); `stages` is the
+/// slot count, GP group size, SPP window); `stages` is the
 /// paper's N (provisioned staged passes for GP, pipeline stages for SPP;
 /// ignored by the dynamic schedules).
 struct SchedulerParams {
@@ -106,8 +97,8 @@ struct SchedulerParams {
 
 /// Re-bases an operation's [0, n) input indices onto a global range, so an
 /// unmodified op (which indexes the full input) can run over a sub-range —
-/// a morsel in the parallel driver, or a thread's static partition in the
-/// phase drivers.  Part of the runtime's public contract.
+/// a morsel on the QueryScheduler path, or a thread's static partition in
+/// the phase drivers.  Part of the runtime's public contract.
 template <typename Op>
 class OffsetOp : public VecTypesOf<Op> {
  public:
@@ -139,48 +130,11 @@ class OffsetOp : public VecTypesOf<Op> {
   uint64_t base_;
 };
 
-namespace detail {
-
-/// Generic coroutine adapter: the operation's stage machine driven from
-/// inside a coroutine frame.  Start()'s prefetch is followed by one
-/// suspension, then each Step() suspends on kParked/kRetry — exactly the
-/// schedule the hand-written coroutine kernels implement, but derived
-/// mechanically from the same Op the other four policies run.
-template <typename Op>
-coro::Task OpTask(Op& op, uint64_t idx, EngineStats& stats) {
-  typename Op::State state;
-  op.Start(state, idx);
-  co_await coro::YieldAwait{};
-  while (true) {
-    ++stats.steps;
-    const StepStatus st = op.Step(state);
-    if (st == StepStatus::kDone) co_return;
-    if (st == StepStatus::kRetry) {
-      ++stats.retries;
-    } else {
-      ++stats.parks;
-    }
-    co_await coro::YieldAwait{};
-  }
-}
-
-template <typename Op>
-EngineStats RunCoroutineSchedule(Op& op, uint64_t num_inputs,
-                                 uint32_t width) {
-  EngineStats stats;
-  stats.lookups = num_inputs;
-  coro::Interleave(
-      [&](uint64_t idx) { return OpTask(op, idx, stats); }, num_inputs,
-      width);
-  return stats;
-}
-
-}  // namespace detail
-
 /// Single entry point subsuming RunSequential / RunGroupPrefetch /
-/// RunSoftwarePipelined / RunAmac / coro::Interleave.  Zero inflight/stages
-/// are tolerated degenerate values (clamped to 1, matching SppDistance()'s
-/// guards) rather than aborting in the schedule preconditions.
+/// RunSoftwarePipelined / RunAmac / RunVectorized / RunVectorizedAmac.
+/// Zero inflight/stages are tolerated degenerate values (clamped to 1,
+/// matching SppDistance()'s guards) rather than aborting in the schedule
+/// preconditions.
 template <typename Op>
 EngineStats Run(ExecPolicy policy, const SchedulerParams& params, Op& op,
                 uint64_t num_inputs) {
@@ -196,8 +150,6 @@ EngineStats Run(ExecPolicy policy, const SchedulerParams& params, Op& op,
                                   params.SppDistance());
     case ExecPolicy::kAmac:
       return RunAmac(op, num_inputs, inflight);
-    case ExecPolicy::kCoroutine:
-      return detail::RunCoroutineSchedule(op, num_inputs, inflight);
     case ExecPolicy::kVectorized:
       // Ops without a vector interface run the scheduling-equivalent
       // scalar schedule: batch SIMD with no interleaving degenerates to

@@ -4,7 +4,7 @@
 // stage that parks with kRetry on conflict, then a latched chain walk with
 // one node visit per Step — the §3.1 "extra intermediate stage" that keeps
 // a parked lookup from re-acquiring its own latch.  With kSync = true the
-// same op runs under the morsel-driven parallel driver against a shared
+// same op runs under the morsel-driven Executor against a shared
 // AggregateTable; aggregation is order-independent, so any policy × thread
 // count combination produces an identical table.
 #pragma once

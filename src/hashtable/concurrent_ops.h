@@ -7,7 +7,7 @@
 // per-scheduler-slot / per-thread, never shared across threads
 // concurrently).  The guard re-pins only when the op has ZERO in-flight
 // lookups — i.e. at morsel boundaries — because an interleaved schedule
-// (AMAC, coroutine, vectorized-AMAC) parks lookups that hold raw node
+// (AMAC, vectorized-AMAC) parks lookups that hold raw node
 // pointers across Steps; re-pinning while any lookup is parked would let
 // the epoch advance past nodes those lookups still dereference.  The
 // `inflight_` counter (Start/StartVec/RefillLane increment, retirement

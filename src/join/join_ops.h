@@ -1,10 +1,10 @@
 // Hash join build and probe as unified-runtime operations.
 //
 // These are the production stage machines the join driver (hash_join.cpp)
-// feeds to Run(ExecPolicy, ...) and the morsel-driven parallel driver — the
+// feeds to Run(ExecPolicy, ...) and the morsel-driven Executor — the
 // same lookup logic as the hand-written kernels in probe_kernels.h /
 // build_kernels.h, but expressed once against the core/engine.h Operation
-// concept so every schedule (sequential, GP, SPP, AMAC, coroutine) and any
+// concept so every schedule (sequential, GP, SPP, AMAC, SIMD) and any
 // thread count run them without join-specific scheduling code.
 //
 // The hand-written kernels remain for the ablation bench (they price the
@@ -159,9 +159,9 @@ class ProbeOp {
 /// `ids` (optional) indirects input index -> tuple index, so the
 /// partitioned parallel build can run a thread's owned-tuple list through
 /// any policy without copying tuples.  Because the insert is a single Step,
-/// every schedule (including the coroutine interleaver) completes inserts
-/// in input order, which makes the partitioned build's per-bucket chains
-/// bitwise-identical to a sequential build.
+/// every schedule completes inserts in input order, which makes the
+/// partitioned build's per-bucket chains bitwise-identical to a sequential
+/// build.
 template <bool kSync>
 class BuildOp {
  public:

@@ -471,7 +471,6 @@ class Sim {
     switch (c_.policy) {
       case ExecPolicy::kSequential:
       case ExecPolicy::kAmac:
-      case ExecPolicy::kCoroutine:  // work-conserving, coroutine-frame cost
       // The vector schedules keep AMAC's work-conserving slot discipline
       // (lane retirement/refill is below the simulator's stage
       // granularity); only their stage instruction cost differs.

@@ -67,9 +67,6 @@ struct EngineCosts {
   double gp_instr = 22.0;
   double spp_instr = 17.0;
   double amac_instr = 14.0;
-  /// AMAC schedule driven through a coroutine frame: ~15% resume/frame
-  /// overhead on top of the hand-packed state machine (ablation bench).
-  double coro_instr = 16.0;
   /// SIMD stage: 8 lanes share one gather/compare sequence, so the
   /// per-lookup instruction cost drops below the scalar baseline's.
   double vec_instr = 6.0;
@@ -81,7 +78,6 @@ struct EngineCosts {
       case ExecPolicy::kGroupPrefetch: return gp_instr;
       case ExecPolicy::kSoftwarePipelined: return spp_instr;
       case ExecPolicy::kAmac: return amac_instr;
-      case ExecPolicy::kCoroutine: return coro_instr;
       // The vector schedules amortize per-stage bookkeeping over 8 lanes;
       // the simulator prices their stage below the scalar baseline's.
       case ExecPolicy::kVectorized:
@@ -95,9 +91,7 @@ struct EngineCosts {
 };
 
 struct SimConfig {
-  /// kSequential/kGP/kSPP/kAmac model the paper's engines; kCoroutine is
-  /// modeled as the work-conserving (AMAC) discipline at coroutine-frame
-  /// instruction cost.
+  /// kSequential/kGP/kSPP/kAmac model the paper's engines.
   ExecPolicy policy = ExecPolicy::kAmac;
   uint32_t inflight = 10;          ///< M per thread (1 forced for baseline)
   uint32_t stages = 1;             ///< provisioned N for the GP schedule

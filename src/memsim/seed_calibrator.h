@@ -18,9 +18,10 @@
 //     mis-ranked prior the same way it corrects a stale measurement.
 //
 // The seeding grid is restricted to the scalar schedules the simulator
-// models faithfully (Baseline/GP/SPP/AMAC/Coroutine); the SIMD points'
-// lane mechanics are below the model's stage granularity, so ranking them
-// from simulated cycles would be noise presented as signal.
+// models faithfully that the kAdaptive grid also searches (Baseline/GP/
+// AMAC); the SIMD points' lane mechanics are below the model's stage
+// granularity, so ranking them from simulated cycles would be noise
+// presented as signal.
 #pragma once
 
 #include <vector>
@@ -51,7 +52,8 @@ struct SeedOptions {
   uint64_t lookups_per_thread = 0;
 };
 
-/// Scalar policies x in-flight widths — the simulator's fidelity domain.
+/// Baseline once plus GP and AMAC x in-flight widths {4, 10, 16, 32}: the
+/// searched scalar policies, the simulator's fidelity domain.
 std::vector<GridPoint> DefaultSeedGrid();
 
 struct SeedEntry {

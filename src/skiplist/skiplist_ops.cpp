@@ -16,8 +16,7 @@ namespace {
 
 /// Insert kernels: no generic op exists (each in-flight insert carries a
 /// ~0.5KB pred/succ vector), so the hand-written schedules run under the
-/// executor's team.  kCoroutine maps to the scheduling-equivalent dynamic
-/// schedule, the AMAC kernel.
+/// executor's team.
 template <bool kSync>
 uint64_t RunInsertKernel(SkipList& list, const Relation& input,
                          uint64_t begin, uint64_t end, ExecPolicy policy,
@@ -35,7 +34,6 @@ uint64_t RunInsertKernel(SkipList& list, const Relation& input,
                                                 params.stages,
                                                 params.SppDistance(), seed);
     case ExecPolicy::kAmac:
-    case ExecPolicy::kCoroutine:
     // The skip-list insert has no vector kernel (each in-flight insert
     // carries a pred/succ vector); the vector policies take their
     // scheduling-equivalent scalar fallbacks, like Run() does for

@@ -30,7 +30,7 @@ RunStats RunSkipListInsert(Executor& exec, SkipList* list,
 
 /// Skip list search as a generic-engine operation: one Step() is one
 /// candidate-node visit (SkipSearchStep), so every ExecPolicy in
-/// core/scheduler.h — and the morsel-driven parallel driver — can run
+/// core/scheduler.h — and the morsel-driven Executor — can run
 /// searches without skiplist-specific scheduling code.
 template <typename Sink>
 class SkipSearchOp {

@@ -113,19 +113,23 @@ TEST(CalibrationEpisodeTest, RideAlongAssignmentsWhenRoundSaturated) {
 TEST(CalibratorTest, GridCrossesPoliciesAndWidths) {
   AdaptiveConfig config;
   const std::vector<GridPoint> grid = Calibrator::Grid(config);
-  // kSequential once + kVectorized once + 5 policies x 4 widths.
-  EXPECT_EQ(grid.size(), 22u);
+  // kSequential once + kVectorized once + GP/AMAC/VecAMAC x 4 widths;
+  // SPP is a static policy only, never searched.
+  EXPECT_EQ(grid.size(), 14u);
   EXPECT_EQ(grid[0].policy, ExecPolicy::kSequential);
   EXPECT_EQ(grid[1].policy, ExecPolicy::kVectorized);
-  size_t coroutine_points = 0;
-  size_t vec_amac_points = 0;
+  size_t points[kNumStaticExecPolicies] = {};
   for (const GridPoint& p : grid) {
-    EXPECT_NE(p.policy, ExecPolicy::kAdaptive);
-    if (p.policy == ExecPolicy::kCoroutine) ++coroutine_points;
-    if (p.policy == ExecPolicy::kVectorizedAmac) ++vec_amac_points;
+    ASSERT_NE(p.policy, ExecPolicy::kAdaptive);
+    ++points[StaticExecPolicyIndex(p.policy)];
   }
-  EXPECT_EQ(coroutine_points, 4u);
-  EXPECT_EQ(vec_amac_points, 4u);
+  EXPECT_EQ(points[StaticExecPolicyIndex(ExecPolicy::kSequential)], 1u);
+  EXPECT_EQ(points[StaticExecPolicyIndex(ExecPolicy::kVectorized)], 1u);
+  EXPECT_EQ(points[StaticExecPolicyIndex(ExecPolicy::kGroupPrefetch)], 4u);
+  EXPECT_EQ(points[StaticExecPolicyIndex(ExecPolicy::kAmac)], 4u);
+  EXPECT_EQ(points[StaticExecPolicyIndex(ExecPolicy::kVectorizedAmac)], 4u);
+  EXPECT_EQ(points[StaticExecPolicyIndex(ExecPolicy::kSoftwarePipelined)],
+            0u);
 }
 
 TEST(CalibratorTest, CacheHitSkipsReMeasurement) {
@@ -137,7 +141,7 @@ TEST(CalibratorTest, CacheHitSkipsReMeasurement) {
   CalibrationResult result;
   result.winner = GridPoint{ExecPolicy::kAmac, 16};
   result.winner_cycles_per_input = 3.5;
-  result.survivors = {result.winner, GridPoint{ExecPolicy::kCoroutine, 16}};
+  result.survivors = {result.winner, GridPoint{ExecPolicy::kGroupPrefetch, 16}};
   calibrator.Store(sig, result);
   EXPECT_EQ(calibrator.entries(), 1u);
 

@@ -137,11 +137,11 @@ TEST(QueryGovernorTest, DriftTriggersRetuneAndSwitch) {
   ASSERT_EQ(governor.current().policy, model.fast.policy);
   EXPECT_EQ(governor.tuning_switches(), 0u);
 
-  // The world changes: the old winner becomes terrible, Coroutine/32 is
+  // The world changes: the old winner becomes terrible, GP/32 is
   // now the planted optimum.  The winner's EWMA blows past the drift
   // threshold, forcing a re-tune over the survivor set.
   CostModel shifted;
-  shifted.fast = GridPoint{ExecPolicy::kCoroutine, 32};
+  shifted.fast = GridPoint{ExecPolicy::kGroupPrefetch, 32};
   shifted.fast_cpi = 2.0;
   shifted.slow_cpi = 40.0;
   Drive(&governor, shifted, 400);
@@ -188,7 +188,7 @@ TEST(QueryGovernorTest, StaleEpochReportsAreIgnored) {
   // ...then shift the world so a drift re-tune runs (epoch advances twice:
   // into the re-tune episode and out of it)...
   CostModel shifted;
-  shifted.fast = GridPoint{ExecPolicy::kCoroutine, 32};
+  shifted.fast = GridPoint{ExecPolicy::kGroupPrefetch, 32};
   shifted.slow_cpi = 40.0;
   Drive(&governor, shifted, 400);
   const uint32_t switches_before = governor.tuning_switches();

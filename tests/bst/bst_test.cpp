@@ -102,7 +102,7 @@ TEST_P(BstSearchEngineTest, FindsEveryKeyAndMatchesBaseline) {
     case ExecPolicy::kAmac:
       BstSearchAmac(tree, probe, 0, probe.size(), m, sink);
       break;
-    default:  // kCoroutine/kAdaptive have no hand-written BST kernel
+    default:  // no hand-written BST kernel for SIMD/kAdaptive
       ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
       break;
   }

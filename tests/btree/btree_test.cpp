@@ -133,7 +133,7 @@ TEST_P(BTreeSearchEngineTest, MatchesBaseline) {
     case ExecPolicy::kAmac:
       BTreeSearchAmac(tree, probe, 0, probe.size(), m, sink);
       break;
-    default:  // kCoroutine/kAdaptive have no hand-written btree kernel
+    default:  // no hand-written btree kernel for SIMD/kAdaptive
       ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
       break;
   }

@@ -1,14 +1,15 @@
-// Morsel-driven parallel driver tests: for every ExecPolicy and thread
-// count, RunParallel must produce results identical to single-threaded
+// Morsel-driven parallel execution tests: for every ExecPolicy and thread
+// count, Executor::RunOp must produce results identical to single-threaded
 // execution — for the read-only probe side (per-thread sinks merged) and
-// for the latched group-by (shared table, synchronized latches).
-#include "core/parallel_driver.h"
-
+// for the latched group-by (shared table, synchronized latches) — and the
+// morsel sizing it derives must stay within its bounds.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/ops.h"
+#include "core/pipeline.h"
 #include "join/join_ops.h"
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
@@ -50,17 +51,12 @@ TEST(ParallelDriverTest, JoinProbeMatchesSingleThreadEverywhere) {
 
   for (ExecPolicy policy : kAllExecPolicies) {
     for (uint32_t threads : {1u, 2u, 4u}) {
-      ParallelDriverConfig config;
-      config.policy = policy;
-      config.params = SchedulerParams{6, 2};
-      config.num_threads = threads;
-      config.morsel_size = 1024;  // force several morsels per thread
+      // Morsel size 1024 forces several morsels per thread.
+      Executor exec(ExecConfig{policy, SchedulerParams{6, 2}, threads, 1024});
       std::vector<CountChecksumSink> sinks(threads);
-      const ParallelDriverStats stats =
-          RunParallel(config, probe.size(), [&](uint32_t tid) {
-            return ProbeOp<false, CountChecksumSink>(table, probe,
-                                                         sinks[tid]);
-          });
+      const RunStats stats = exec.RunOp(probe.size(), [&](uint32_t tid) {
+        return ProbeOp<false, CountChecksumSink>(table, probe, sinks[tid]);
+      });
       CountChecksumSink merged;
       for (const auto& sink : sinks) merged.Merge(sink);
       EXPECT_EQ(merged.matches(), base.matches())
@@ -71,7 +67,9 @@ TEST(ParallelDriverTest, JoinProbeMatchesSingleThreadEverywhere) {
           << ExecPolicyName(policy) << " threads=" << threads;
       EXPECT_GE(stats.engine.steps, probe.size())
           << ExecPolicyName(policy) << " threads=" << threads;
-      EXPECT_EQ(stats.morsels, (probe.size() + 1023) / 1024)
+      // One thread runs one engine over the whole range (no morsels).
+      EXPECT_EQ(stats.morsels,
+                threads == 1 ? 0 : (probe.size() + 1023) / 1024)
           << ExecPolicyName(policy) << " threads=" << threads;
       EXPECT_EQ(stats.threads, threads);
       EXPECT_GT(stats.cycles, 0u)
@@ -90,12 +88,9 @@ TEST(ParallelDriverTest, GroupByMatchesSingleThreadEverywhere) {
 
   for (ExecPolicy policy : kAllExecPolicies) {
     for (uint32_t threads : {1u, 4u}) {
-      ParallelDriverConfig config;
-      config.policy = policy;
-      config.params = SchedulerParams{6, 2};
-      config.num_threads = threads;
+      Executor exec(ExecConfig{policy, SchedulerParams{6, 2}, threads});
       AggregateTable table(3000, AggregateTable::Options{});
-      RunParallel(config, input.size(), [&](uint32_t) {
+      exec.RunOp(input.size(), [&](uint32_t) {
         // Synchronized latches: morsels on different threads may collide
         // on a bucket.
         return GroupByOp<true>(table, input);
@@ -123,12 +118,10 @@ TEST(ParallelDriverTest, RandomWalksIdenticalAcrossThreadCounts) {
   }
 
   for (uint32_t threads : {1u, 4u}) {
-    ParallelDriverConfig config;
-    config.policy = ExecPolicy::kAmac;
-    config.params = SchedulerParams{8, 1};
-    config.num_threads = threads;
+    Executor exec(ExecConfig{ExecPolicy::kAmac, SchedulerParams{8, 1},
+                             threads});
     std::vector<WalkSink> sinks(threads);
-    RunParallel(config, walkers, [&](uint32_t tid) {
+    exec.RunOp(walkers, [&](uint32_t tid) {
       return RandomWalkOp(graph, 5, 7, sinks[tid]);
     });
     WalkSink merged;
@@ -139,16 +132,13 @@ TEST(ParallelDriverTest, RandomWalksIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDriverTest, ZeroInputs) {
-  ParallelDriverConfig config;
-  config.num_threads = 4;
+  Executor exec(ExecConfig{ExecPolicy::kAmac, SchedulerParams{}, 4});
   std::vector<CountChecksumSink> sinks(4);
   Relation empty(0);
   ChainedHashTable table(1, ChainedHashTable::Options{});
-  const ParallelDriverStats stats =
-      RunParallel(config, 0, [&](uint32_t tid) {
-        return ProbeOp<false, CountChecksumSink>(table, empty,
-                                                     sinks[tid]);
-      });
+  const RunStats stats = exec.RunOp(0, [&](uint32_t tid) {
+    return ProbeOp<false, CountChecksumSink>(table, empty, sinks[tid]);
+  });
   EXPECT_EQ(stats.engine.lookups, 0u);
   EXPECT_EQ(stats.morsels, 0u);
 }

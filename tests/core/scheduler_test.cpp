@@ -38,7 +38,7 @@ TEST(SchedulerTest, PolicyNamesAreDistinct) {
   }
   EXPECT_EQ(names,
             (std::vector<std::string>{"Sequential", "GP", "SPP", "AMAC",
-                                      "Coroutine", "Vectorized", "VecAMAC"}));
+                                      "Vectorized", "VecAMAC"}));
 }
 
 TEST(SchedulerTest, SppDistanceDerivation) {
@@ -244,12 +244,15 @@ TEST(SchedulerTest, RandomWalksIdenticalTrajectoriesAcrossPolicies) {
   }
 }
 
-TEST(SchedulerTest, CoroutinePolicyCountsStats) {
+TEST(SchedulerTest, VecAmacFallbackCountsStats) {
+  // CountdownOp has no vector interface: kVectorizedAmac runs it through
+  // the scalar AMAC schedule and counts every input as a fallback.
   std::vector<uint32_t> lengths{4, 2, 1, 3};
   CountdownOp op(lengths);
-  const EngineStats stats =
-      amac::Run(ExecPolicy::kCoroutine, SchedulerParams{2, 1}, op, lengths.size());
+  const EngineStats stats = amac::Run(
+      ExecPolicy::kVectorizedAmac, SchedulerParams{2, 1}, op, lengths.size());
   EXPECT_EQ(stats.lookups, 4u);
+  EXPECT_EQ(stats.vec_fallbacks, 4u);
   EXPECT_EQ(stats.steps, 4u + 2 + 1 + 3);
   EXPECT_EQ(stats.parks, stats.steps - stats.lookups);
 }

@@ -3,7 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/random_walk.h"
+#include "core/engine.h"
+#include "graph/graph_ops.h"
 #include "join/sink.h"
 
 namespace amac {
@@ -80,20 +81,6 @@ TEST(RandomWalkTest, ScheduleIndependentResults) {
     }
     EXPECT_EQ(sink.visits(), 500u * 8);
   }
-}
-
-TEST(RandomWalkTest, CoroutineWalkMatchesEngineWalk) {
-  const CsrGraph graph(SmallGraph());
-  WalkSink engine_sink;
-  RandomWalkOp op(graph, 6, 3, engine_sink);
-  RunAmac(op, 300, 8);
-
-  WalkSink coro_sink;
-  coro::Interleave(
-      [&](uint64_t w) { return RandomWalkTask(graph, w, 6, 3, coro_sink); },
-      300, 8);
-  EXPECT_EQ(coro_sink.visits(), engine_sink.visits());
-  EXPECT_EQ(coro_sink.checksum(), engine_sink.checksum());
 }
 
 TEST(RandomWalkTest, DeadEndsTerminateWalks) {

@@ -10,7 +10,7 @@
 #include "common/rng.h"
 #include "core/ops.h"
 #include "join/join_ops.h"
-#include "core/parallel_driver.h"
+#include "core/pipeline.h"
 #include "core/scheduler.h"
 #include "groupby/groupby.h"
 #include "join/hash_join.h"
@@ -122,26 +122,26 @@ TEST_P(JoinFuzzTest, RandomWorkloadUnifiedRuntimeAgrees) {
   }
 
   const uint32_t stages = 1 + static_cast<uint32_t>(rng.NextBounded(5));
+  // One executor per team size, re-pointed at every policy and width.
+  // Small morsels so multi-thread runs really interleave claims.
+  Executor executors[] = {
+      Executor(ExecConfig{ExecPolicy::kAmac, SchedulerParams{}, 1, 256}),
+      Executor(ExecConfig{ExecPolicy::kAmac, SchedulerParams{}, 4, 256})};
   for (ExecPolicy policy : kAllExecPolicies) {
     for (uint32_t width : {1u, 4u, 10u}) {
-      for (uint32_t threads : {1u, 4u}) {
-        ParallelDriverConfig config;
-        config.policy = policy;
-        config.params = SchedulerParams{width, stages};
-        config.num_threads = threads;
-        // Small morsels so multi-thread runs really interleave claims.
-        config.morsel_size = 256;
+      for (Executor& exec : executors) {
+        const uint32_t threads = exec.num_threads();
+        exec.set_policy(policy);
+        exec.set_params(SchedulerParams{width, stages});
         std::vector<CountChecksumSink> sinks(threads);
-        ParallelDriverStats stats;
+        RunStats stats;
         if (early_exit) {
-          stats = RunParallel(config, s.size(), [&](uint32_t tid) {
-            return ProbeOp<true, CountChecksumSink>(table, s,
-                                                        sinks[tid]);
+          stats = exec.RunOp(s.size(), [&](uint32_t tid) {
+            return ProbeOp<true, CountChecksumSink>(table, s, sinks[tid]);
           });
         } else {
-          stats = RunParallel(config, s.size(), [&](uint32_t tid) {
-            return ProbeOp<false, CountChecksumSink>(table, s,
-                                                         sinks[tid]);
+          stats = exec.RunOp(s.size(), [&](uint32_t tid) {
+            return ProbeOp<false, CountChecksumSink>(table, s, sinks[tid]);
           });
         }
         CountChecksumSink merged;

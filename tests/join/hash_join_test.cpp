@@ -96,7 +96,6 @@ TEST(HashJoinTest, PolicyNamesAreStable) {
   EXPECT_STREQ(ExecPolicyName(ExecPolicy::kGroupPrefetch), "GP");
   EXPECT_STREQ(ExecPolicyName(ExecPolicy::kSoftwarePipelined), "SPP");
   EXPECT_STREQ(ExecPolicyName(ExecPolicy::kAmac), "AMAC");
-  EXPECT_STREQ(ExecPolicyName(ExecPolicy::kCoroutine), "Coroutine");
 }
 
 // The bench tables render rates for degenerate workloads (empty probe, no

@@ -42,7 +42,7 @@ CountChecksumSink RunEngine(ExecPolicy policy, const ChainedHashTable& table,
     case ExecPolicy::kAmac:
       ProbeAmac<kEarlyExit>(table, probe, 0, probe.size(), m, sink);
       break;
-    default:  // kCoroutine/kAdaptive have no hand-written probe kernel
+    default:  // no hand-written probe kernel for SIMD/kAdaptive
       ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
       break;
   }

@@ -21,10 +21,13 @@ AccessTrace DramBoundTrace() {
 }
 
 TEST(SeedGridTest, CoversScalarPoliciesOnly) {
+  // Baseline once + GP/AMAC x 4 widths: the scalar policies the kAdaptive
+  // grid searches.
   const auto grid = DefaultSeedGrid();
-  ASSERT_FALSE(grid.empty());
-  uint32_t sequential = 0;
+  ASSERT_EQ(grid.size(), 9u);
+  uint32_t sequential = 0, gp = 0, amac = 0;
   for (const GridPoint& p : grid) {
+    EXPECT_NE(p.policy, ExecPolicy::kSoftwarePipelined);
     EXPECT_NE(p.policy, ExecPolicy::kVectorized);
     EXPECT_NE(p.policy, ExecPolicy::kVectorizedAmac);
     EXPECT_NE(p.policy, ExecPolicy::kAdaptive);
@@ -32,8 +35,12 @@ TEST(SeedGridTest, CoversScalarPoliciesOnly) {
       ++sequential;
       EXPECT_EQ(p.inflight, 1u);  // baseline is definitionally M=1
     }
+    if (p.policy == ExecPolicy::kGroupPrefetch) ++gp;
+    if (p.policy == ExecPolicy::kAmac) ++amac;
   }
   EXPECT_EQ(sequential, 1u);
+  EXPECT_EQ(gp, 4u);
+  EXPECT_EQ(amac, 4u);
 }
 
 TEST(SeedCalibratorTest, RanksInterleavingAboveBaselineWhenDramBound) {
@@ -43,11 +50,10 @@ TEST(SeedCalibratorTest, RanksInterleavingAboveBaselineWhenDramBound) {
   const SeedResult seed =
       SeedCalibrator(MachineConfig::XeonX5670(), trace, sig, nullptr);
   ASSERT_FALSE(seed.table.empty());
-  // Ascending cycles-per-input up to the 1% near-tie band, inside which
-  // the cheaper engine ranks first (see seed_calibrator.cpp).
+  // Ascending cycles-per-input.
   for (size_t i = 1; i < seed.table.size(); ++i) {
     EXPECT_LE(seed.table[i - 1].cycles_per_input,
-              seed.table[i].cycles_per_input * 1.01);
+              seed.table[i].cycles_per_input);
   }
   EXPECT_TRUE(seed.winner == seed.table.front().point);
   EXPECT_EQ(seed.winner_cycles_per_input,
@@ -56,41 +62,6 @@ TEST(SeedCalibratorTest, RanksInterleavingAboveBaselineWhenDramBound) {
   // baseline cannot win a DRAM-bound pointer-chase grid.
   EXPECT_NE(seed.winner.policy, ExecPolicy::kSequential);
   EXPECT_FALSE(seed.stored);  // no calibrator was given
-}
-
-TEST(SeedCalibratorTest, NearTieBreaksTowardCheaperEngine) {
-  // Deep interleaving on a DRAM-bound chase hides the stage instruction
-  // cost completely, so AMAC and its coroutine-framed variant simulate
-  // within a hair of each other.  The ranking must never put the heavier
-  // coroutine frame above the hand-packed AMAC state machine on such a
-  // tie: the coroutine's resume overhead is real even when the model
-  // cannot see it.
-  const AccessTrace trace = DramBoundTrace();
-  const WorkloadSignature sig =
-      WorkloadSignature::Make("seed-tie", trace.lookups(), 64);
-  const SeedResult seed =
-      SeedCalibrator(MachineConfig::XeonX5670(), trace, sig, nullptr);
-  const auto rank_of = [&seed](ExecPolicy p, uint32_t m) {
-    for (size_t i = 0; i < seed.table.size(); ++i) {
-      if (seed.table[i].point.policy == p &&
-          seed.table[i].point.inflight == m) {
-        return i;
-      }
-    }
-    return seed.table.size();
-  };
-  const auto cycles_of = [&seed, &rank_of](ExecPolicy p, uint32_t m) {
-    return seed.table[rank_of(p, m)].cycles_per_input;
-  };
-  for (const uint32_t m : {4u, 10u, 16u, 32u}) {
-    const double amac = cycles_of(ExecPolicy::kAmac, m);
-    const double coro = cycles_of(ExecPolicy::kCoroutine, m);
-    if (coro <= amac * 1.01 && amac <= coro * 1.01) {
-      EXPECT_LT(rank_of(ExecPolicy::kAmac, m),
-                rank_of(ExecPolicy::kCoroutine, m))
-          << "inflight " << m;
-    }
-  }
 }
 
 TEST(SeedCalibratorTest, DeterministicRanking) {
