@@ -131,26 +131,32 @@ int Run(int argc, char** argv) {
     auto rolling_u = MeasurePerTuple(n, args.reps, [&] {
       CountChecksumSink sink;
       ProbeAmac<true>(*uniform.table, uniform.s, 0, n, m, sink);
+      Consume(sink);
     });
     auto rolling_s = MeasurePerTuple(n, args.reps, [&] {
       CountChecksumSink sink;
       ProbeAmac<true>(*skewed.table, skewed.s, 0, n, m, sink);
+      Consume(sink);
     });
     auto modulo_u = MeasurePerTuple(n, args.reps, [&] {
       CountChecksumSink sink;
       ProbeAmacModulo<true>(*uniform.table, uniform.s, m, sink);
+      Consume(sink);
     });
     auto modulo_s = MeasurePerTuple(n, args.reps, [&] {
       CountChecksumSink sink;
       ProbeAmacModulo<true>(*skewed.table, skewed.s, m, sink);
+      Consume(sink);
     });
     auto nomerge_u = MeasurePerTuple(n, args.reps, [&] {
       CountChecksumSink sink;
       ProbeAmacNoMerge<true>(*uniform.table, uniform.s, m, sink);
+      Consume(sink);
     });
     auto nomerge_s = MeasurePerTuple(n, args.reps, [&] {
       CountChecksumSink sink;
       ProbeAmacNoMerge<true>(*skewed.table, skewed.s, m, sink);
+      Consume(sink);
     });
     table.AddRow({"rolling + merge (paper)", std::to_string(m),
                   TablePrinter::Fmt(rolling_u, 1),

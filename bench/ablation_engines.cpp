@@ -56,17 +56,20 @@ int Run(int argc, char** argv) {
         CountChecksumSink sink;
         ProbeAmac<kEarly>(*prepared.table, prepared.s, 0, prepared.s.size(),
                           m, sink);
+        Consume(sink);
       });
       const uint64_t generic = MinCycles(args.reps, [&] {
         CountChecksumSink sink;
         ProbeOp<kEarly, CountChecksumSink> op(*prepared.table,
                                                   prepared.s, sink);
         amac::Run(ExecPolicy::kAmac, params, op, prepared.s.size());
+        Consume(sink);
       });
       const uint64_t hand_gp = MinCycles(args.reps, [&] {
         CountChecksumSink sink;
         ProbeGroupPrefetch<kEarly>(*prepared.table, prepared.s, 0,
                                    prepared.s.size(), m, 1, sink);
+        Consume(sink);
       });
       const uint64_t generic_gp = MinCycles(args.reps, [&] {
         CountChecksumSink sink;
@@ -74,6 +77,7 @@ int Run(int argc, char** argv) {
                                                   prepared.s, sink);
         amac::Run(ExecPolicy::kGroupPrefetch, params, op,
                   prepared.s.size());
+        Consume(sink);
       });
       table.AddRow({std::string("join probe z=") + TablePrinter::Fmt(z, 1),
                     TablePrinter::Fmt(hand / n, 1),
@@ -93,20 +97,24 @@ int Run(int argc, char** argv) {
     const uint64_t hand = MinCycles(args.reps, [&] {
       CountChecksumSink sink;
       BstSearchAmac(tree, probe, 0, n, m, sink);
+      Consume(sink);
     });
     const uint64_t generic = MinCycles(args.reps, [&] {
       CountChecksumSink sink;
       BstSearchOp<CountChecksumSink> op(tree, probe, sink);
       amac::Run(ExecPolicy::kAmac, amac_params, op, n);
+      Consume(sink);
     });
     const uint64_t hand_gp = MinCycles(args.reps, [&] {
       CountChecksumSink sink;
       BstSearchGroupPrefetch(tree, probe, 0, n, m, 24, sink);
+      Consume(sink);
     });
     const uint64_t generic_gp = MinCycles(args.reps, [&] {
       CountChecksumSink sink;
       BstSearchOp<CountChecksumSink> op(tree, probe, sink);
       amac::Run(ExecPolicy::kGroupPrefetch, gp_params, op, n);
+      Consume(sink);
     });
     table.AddRow({"BST search", TablePrinter::Fmt(hand / dn, 1),
                   TablePrinter::Fmt(generic / dn, 1),

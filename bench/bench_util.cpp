@@ -127,7 +127,7 @@ void PerfJsonFields(JsonWriter* json, const PerfCounters::Sample& perf) {
 std::string SkewLabel(double zr, double zs) {
   char buf[32];
   auto one = [](double z) {
-    char b[8];
+    char b[32];
     if (z == 0.0) return std::string("0");
     if (z == 1.0) return std::string("1");
     std::snprintf(b, sizeof(b), "%.2g", z);

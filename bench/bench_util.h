@@ -41,6 +41,15 @@ inline const char* SeriesName(ExecPolicy p) {
   return p == ExecPolicy::kSequential ? "Baseline" : ExecPolicyName(p);
 }
 
+/// Optimization barrier for timed regions: the compiler must assume
+/// `value` — every store into it included — is read here, so a kernel whose
+/// only side effect is a local sink cannot be deleted.  Call it on the sink
+/// inside the timed lambda.
+template <typename T>
+inline void Consume(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
 /// Standard flags shared by the figure benches; individual benches may add
 /// their own before calling Parse.
 struct BenchArgs {

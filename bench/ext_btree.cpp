@@ -35,6 +35,7 @@ uint64_t Measure(const BTree& tree, const Relation& probe, ExecPolicy policy,
       BTreeSearchOp<CountChecksumSink> op(tree, probe, sink);
       amac::Run(policy, params, op, probe.size());
     }
+    Consume(sink);
     best = std::min(best, timer.Elapsed());
   }
   return best;

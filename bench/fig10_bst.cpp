@@ -30,6 +30,7 @@ uint64_t MeasureBst(Executor& exec, const BinarySearchTree& tree,
       // keep the hand kernel so the speedup ratios stay comparable.
       CycleTimer timer;
       BstSearchBaseline(tree, probe, 0, probe.size(), sink);
+      Consume(sink);
       best = std::min(best, timer.Elapsed());
     } else {
       exec.set_policy(policy);

@@ -271,7 +271,7 @@ template <typename Op>
 EngineStats RunSequential(Op& op, uint64_t num_inputs) {
   EngineStats stats;
   stats.lookups = num_inputs;
-  typename Op::State state;
+  typename Op::State state{};
   for (uint64_t i = 0; i < num_inputs; ++i) {
     op.Start(state, i);
     StepStatus st;

@@ -27,12 +27,16 @@
 //
 //   struct MyStage {
 //     struct State { ... };                   // full per-row state
-//     void Start(State&, const Tuple& in);    // stage 0: init + 1st prefetch
+//     void Start(State&, const Tuple& in);    // init + 1st prefetch
 //     template <typename Emit>
 //     StepStatus Step(State&, Emit&& emit);   // one stage; emit(Tuple) rows
 //   };
 //
 // A *source* is the same but index-driven: `Start(State&, uint64_t idx)`.
+// Elements that never wait on memory have no State and one call instead:
+// a scan source's `Read(idx, emit)` and a compute stage's
+// `Apply(row, emit)` (Scan, Filter, Map).  FusedOp runs them inline, so
+// a fused lookup parks only on its own in-flight prefetch.
 // Generic sources/stages (Scan, Filter, Map) live here; each data-structure
 // layer contributes its own (Probe in join/join_ops.h, Aggregate in
 // groupby/groupby_ops.h, LookupBTree / LookupBst / LookupSkipList in their
@@ -48,7 +52,6 @@
 
 #include "common/cycle_timer.h"
 #include "common/hash.h"
-#include "common/prefetch.h"
 #include "common/thread_pool.h"
 #include "core/run_stats.h"
 #include "core/scheduler.h"
@@ -97,7 +100,26 @@ struct KeyedEmitSink {
   void Emit(uint64_t, int64_t payload) { fn(Tuple{key, payload}); }
 };
 
+/// Emit callable that drops its row (probes the Read/Apply concepts).
+struct IgnoreRow {
+  void operator()(const Tuple&) const {}
+};
+
 }  // namespace detail
+
+/// A scan source: input idx's rows come from `Read(idx, emit)` with no
+/// memory wait worth a park (a sequential relation row).
+template <typename Source>
+concept ScanKindSource = requires(const Source& source, uint64_t idx) {
+  source.Read(idx, detail::IgnoreRow{});
+};
+
+/// A compute stage: `Apply(row, emit)` rewrites or drops a row without
+/// touching memory beyond the row itself.
+template <typename Stage>
+concept ComputeStage = requires(const Stage& stage, const Tuple& row) {
+  stage.Apply(row, detail::IgnoreRow{});
+};
 
 // ---------------------------------------------------------------------------
 // Generic sources and stages
@@ -106,47 +128,28 @@ struct KeyedEmitSink {
 /// Source scanning a relation: input i emits rel[i] downstream.
 class ScanSource {
  public:
-  struct State {
-    uint64_t idx;
-  };
-
   explicit ScanSource(const Relation& rel) : rel_(&rel) {}
 
   uint64_t size() const { return rel_->size(); }
 
-  void Start(State& st, uint64_t idx) {
-    st.idx = idx;
-    Prefetch(rel_->data() + idx);
-  }
-
   template <typename Emit>
-  StepStatus Step(State& st, Emit&& emit) {
-    emit((*rel_)[st.idx]);
-    return StepStatus::kDone;
+  void Read(uint64_t idx, Emit&& emit) const {
+    emit((*rel_)[idx]);
   }
 
  private:
   const Relation* rel_;
 };
 
-/// Pure-compute stage dropping rows that fail `pred(row)`.  No prefetch, so
-/// it costs one scheduling step per row (documented altitude cost of
-/// keeping every stage uniform).
+/// Compute stage dropping rows that fail `pred(row)`.
 template <typename Pred>
 class FilterStage {
  public:
-  struct State {
-    Tuple row;
-  };
-
   explicit FilterStage(Pred pred) : pred_(std::move(pred)) {}
 
-  void Start(State& st, const Tuple& in) { st.row = in; }
-
   template <typename Emit>
-  StepStatus Step(State& st, Emit&& emit) {
-    if (pred_(st.row)) emit(st.row);
-    return StepStatus::kDone;
+  void Apply(const Tuple& row, Emit&& emit) const {
+    if (pred_(row)) emit(row);
   }
 
  private:
@@ -158,23 +161,16 @@ FilterStage<std::decay_t<Pred>> Filter(Pred&& pred) {
   return FilterStage<std::decay_t<Pred>>(std::forward<Pred>(pred));
 }
 
-/// Pure-compute stage rewriting each row as `fn(row)` (e.g. re-keying a
-/// join output before aggregation).
+/// Compute stage rewriting each row as `fn(row)` (e.g. re-keying a join
+/// output before aggregation).
 template <typename Fn>
 class MapStage {
  public:
-  struct State {
-    Tuple row;
-  };
-
   explicit MapStage(Fn fn) : fn_(std::move(fn)) {}
 
-  void Start(State& st, const Tuple& in) { st.row = in; }
-
   template <typename Emit>
-  StepStatus Step(State& st, Emit&& emit) {
-    emit(fn_(st.row));
-    return StepStatus::kDone;
+  void Apply(const Tuple& row, Emit&& emit) const {
+    emit(fn_(row));
   }
 
  private:
@@ -190,23 +186,59 @@ MapStage<std::decay_t<Fn>> Map(Fn&& fn) {
 // The fused operation
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// A source's or stage's per-lookup State; scan sources and compute stages
+/// keep none.
+template <typename T>
+struct StateOf {
+  struct type {};
+};
+template <typename T>
+  requires requires { typename T::State; }
+struct StateOf<T> {
+  using type = typename T::State;
+};
+
+}  // namespace detail
+
 /// The engine operation a Pipeline compiles to: the source plus every stage
 /// machine of ONE input, chained.  Rows emitted by stage k queue into stage
-/// k+1's pending list inside the same lookup state; Step() always advances
-/// the *deepest* runnable stage, so intermediates stay tiny (at most one
+/// k+1's pending list inside the same lookup state; the *deepest* stage
+/// with work always goes first, so intermediates stay tiny (at most one
 /// upstream step's emissions) and a probe hit reaches the aggregation
 /// insert before the next probe input is touched.  Every kParked/kRetry of
 /// any stage parks the whole fused lookup, which is what lets one engine
 /// window overlap misses across operators.
+///
+/// The AMAC rule holds across the chain: a fused lookup parks only on its
+/// own in-flight prefetch.
+///   * A scan source runs inside Start, and the first memory stage's Start
+///     runs in the same call, so the slot's first park waits on that
+///     stage's prefetch (the bucket or root), not on a sequential row.  A
+///     row the scan drops leaves the slot drained: its one Step is kDone.
+///   * Hand-offs happen in the same Step: when the source or a stage
+///     finishes, the deepest pending row is started at once and the lookup
+///     parks on that stage's prefetch.
+///   * Compute stages (Filter, Map) run inline wherever a row reaches
+///     them, and never park.
+/// Sources that do wait on memory (Walks) keep their Start/Step split.
+/// A scan feeding one memory stage therefore runs the exact Start/Step
+/// sequence of that stage as a bare engine operation: equal engine
+/// counters.
 template <typename Source, typename Sink, typename... Stages>
 class FusedOp {
   static constexpr size_t kNumStages = sizeof...(Stages);
   static_assert(kNumStages <= 16, "pipeline too deep for the running mask");
+  static constexpr bool kScanSource = ScanKindSource<Source>;
+
+  template <size_t J>
+  using StageAt = std::tuple_element_t<J, std::tuple<Stages...>>;
 
  public:
   struct State {
-    typename Source::State source;
-    std::tuple<typename Stages::State...> stages;
+    [[no_unique_address]] typename detail::StateOf<Source>::type source;
+    std::tuple<typename detail::StateOf<Stages>::type...> stages;
     /// pending[i]: rows emitted upstream, waiting to enter stage i.
     std::array<std::vector<Tuple>, kNumStages> pending;
     uint32_t running = 0;  ///< bit i: stage i is mid-row
@@ -219,21 +251,35 @@ class FusedOp {
 
   void Start(State& st, uint64_t idx) {
     st.running = 0;
-    st.source_active = true;
     for (auto& queue : st.pending) queue.clear();
-    source_.Start(st.source, idx);
+    if constexpr (kScanSource) {
+      st.source_active = false;
+      source_.Read(idx, EmitterTo<0>(st));
+      Launch<kNumStages>(st);
+    } else {
+      st.source_active = true;
+      source_.Start(st.source, idx);
+    }
   }
 
   StepStatus Step(State& st) {
-    StepStatus status;
-    if (StepDeepest<kNumStages>(st, &status)) return status;
-    if (st.source_active) {
-      status = source_.Step(st.source, EmitterTo<0>(st));
-      if (status != StepStatus::kDone) return status;
-      st.source_active = false;
-      return Drained(st) ? StepStatus::kDone : StepStatus::kParked;
+    // Rows left pending by a step that emitted and then parked.
+    if (Launch<kNumStages>(st)) return StepStatus::kParked;
+    StepStatus status = StepStatus::kDone;
+    if (!StepDeepestRunning<kNumStages>(st, &status)) {
+      if constexpr (kScanSource) {
+        return StepStatus::kDone;
+      } else {
+        if (!st.source_active) return StepStatus::kDone;
+        status = source_.Step(st.source, EmitterTo<0>(st));
+        if (status == StepStatus::kDone) st.source_active = false;
+      }
     }
-    return StepStatus::kDone;
+    if (status != StepStatus::kDone) return status;
+    // The source or a stage finished: hand off in this same step.
+    if (Launch<kNumStages>(st)) return StepStatus::kParked;
+    return st.running == 0 && !st.source_active ? StepStatus::kDone
+                                                : StepStatus::kParked;
   }
 
  private:
@@ -247,47 +293,54 @@ class FusedOp {
     }
   }
 
-  /// Advance the deepest stage that is mid-row or has pending input
-  /// (stages J = I-1 .. 0).  Returns false when no stage had work.
+  /// Start the deepest pending row (stages J = I-1 .. 0) unless a deeper
+  /// stage is mid-row.  Compute stages run inline and the search starts
+  /// over; returns true once a memory stage started (its prefetch is in
+  /// flight), false when nothing is left to start.
   template <size_t I>
-  bool StepDeepest(State& st, StepStatus* status) {
+  bool Launch(State& st) {
+    if constexpr (I == 0) {
+      (void)st;
+      return false;
+    } else {
+      constexpr size_t J = I - 1;
+      if (st.running & (uint32_t{1} << J)) return false;
+      if (st.pending[J].empty()) return Launch<J>(st);
+      const Tuple row = st.pending[J].back();
+      st.pending[J].pop_back();
+      if constexpr (ComputeStage<StageAt<J>>) {
+        std::get<J>(stages_).Apply(row, EmitterTo<J + 1>(st));
+        return Launch<kNumStages>(st);
+      } else {
+        std::get<J>(stages_).Start(std::get<J>(st.stages), row);
+        st.running |= uint32_t{1} << J;
+        return true;
+      }
+    }
+  }
+
+  /// Step the deepest mid-row stage (stages J = I-1 .. 0); returns false
+  /// when none is.
+  template <size_t I>
+  bool StepDeepestRunning(State& st, StepStatus* status) {
     if constexpr (I == 0) {
       (void)st;
       (void)status;
       return false;
     } else {
       constexpr size_t J = I - 1;
-      if (st.running & (uint32_t{1} << J)) {
-        const StepStatus s = std::get<J>(stages_).Step(
-            std::get<J>(st.stages), EmitterTo<J + 1>(st));
-        if (s != StepStatus::kDone) {
-          *status = s;
+      if constexpr (!ComputeStage<StageAt<J>>) {
+        if (st.running & (uint32_t{1} << J)) {
+          *status = std::get<J>(stages_).Step(std::get<J>(st.stages),
+                                              EmitterTo<J + 1>(st));
+          if (*status == StepStatus::kDone) {
+            st.running &= ~(uint32_t{1} << J);
+          }
           return true;
         }
-        st.running &= ~(uint32_t{1} << J);
-        *status = !st.source_active && Drained(st) ? StepStatus::kDone
-                                                   : StepStatus::kParked;
-        return true;
       }
-      if (!st.pending[J].empty()) {
-        const Tuple row = st.pending[J].back();
-        st.pending[J].pop_back();
-        std::get<J>(stages_).Start(std::get<J>(st.stages), row);
-        st.running |= uint32_t{1} << J;
-        // Park so the Start()'s prefetch matures before the first Step.
-        *status = StepStatus::kParked;
-        return true;
-      }
-      return StepDeepest<J>(st, status);
+      return StepDeepestRunning<J>(st, status);
     }
-  }
-
-  static bool Drained(const State& st) {
-    if (st.running != 0) return false;
-    for (const auto& queue : st.pending) {
-      if (!queue.empty()) return false;
-    }
-    return true;
   }
 
   Source source_;

@@ -36,7 +36,6 @@
 #include "btree/btree_ops.h"
 #include "common/cycle_timer.h"
 #include "common/macros.h"
-#include "common/prefetch.h"
 #include "core/ops.h"
 #include "graph/graph_ops.h"
 #include "groupby/groupby.h"
@@ -292,34 +291,23 @@ RowFn SwapFn() {
 }
 
 /// ScanSource with the plan's pre-join filters/maps folded into the scan
-/// step itself — surviving rows cost no extra pipeline stage, and one
+/// read itself — surviving rows cost no extra pipeline stage, and one
 /// source type covers any fn count (see the header comment on bounding
-/// instantiations).  With no fns this is ScanSource exactly (same
-/// prefetch, same one-step emission).
+/// instantiations).  With no fns this is ScanSource exactly.
 class DynScanSource {
  public:
-  struct State {
-    uint64_t idx;
-  };
-
   DynScanSource(const Relation& rel, std::vector<RowFn> fns)
       : rel_(&rel), fns_(std::move(fns)) {}
 
   uint64_t size() const { return rel_->size(); }
 
-  void Start(State& st, uint64_t idx) {
-    st.idx = idx;
-    Prefetch(rel_->data() + idx);
-  }
-
   template <typename Emit>
-  StepStatus Step(State& st, Emit&& emit) {
-    Tuple row = (*rel_)[st.idx];
+  void Read(uint64_t idx, Emit&& emit) const {
+    Tuple row = (*rel_)[idx];
     for (const RowFn& fn : fns_) {
-      if (!fn(row)) return StepStatus::kDone;
+      if (!fn(row)) return;
     }
     emit(row);
-    return StepStatus::kDone;
   }
 
  private:
@@ -327,26 +315,19 @@ class DynScanSource {
   std::vector<RowFn> fns_;
 };
 
-/// One pipeline stage applying a chain of RowFns to each row (post-join
+/// One compute stage applying a chain of RowFns to each row (post-join
 /// filters/maps, and the flipped-build-side swap).
 class DynRowStage {
  public:
-  struct State {
-    Tuple row;
-  };
-
   explicit DynRowStage(std::vector<RowFn> fns) : fns_(std::move(fns)) {}
 
-  void Start(State& st, const Tuple& in) { st.row = in; }
-
   template <typename Emit>
-  StepStatus Step(State& st, Emit&& emit) {
-    Tuple row = st.row;
+  void Apply(const Tuple& in, Emit&& emit) const {
+    Tuple row = in;
     for (const RowFn& fn : fns_) {
-      if (!fn(row)) return StepStatus::kDone;
+      if (!fn(row)) return;
     }
     emit(row);
-    return StepStatus::kDone;
   }
 
  private:

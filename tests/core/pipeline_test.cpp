@@ -5,7 +5,8 @@
 // Run(policy, params, op, n) directly — the Executor adds no scheduling of
 // its own on the single-threaded path.  Plus: fused generic stages
 // (scan/filter/map), the index-lookup stages of every layer, the fused
-// graph-walk source, and persistent-pool behavior.
+// graph-walk source, the fused park discipline (a scan feeding one lookup
+// stage matches the bare op's counters), and persistent-pool behavior.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include "join/build_kernels.h"
 #include "join/join_ops.h"
 #include "join/sink.h"
+#include "plan/plan.h"
 #include "relation/relation.h"
 #include "skiplist/skiplist.h"
 #include "skiplist/skiplist_ops.h"
@@ -258,6 +260,135 @@ TEST(PipelineTest, FusedWalkAggregationMatchesWalkOp) {
           << ExecPolicyName(policy) << " threads=" << threads;
       EXPECT_FALSE(mismatch)
           << ExecPolicyName(policy) << " threads=" << threads;
+    }
+  }
+}
+
+// The fused operation parks only on its own in-flight prefetch: the scan runs
+// inside Start and finished stages hand off in the same Step, so a scan
+// feeding one memory stage runs that stage's exact Start/Step sequence and
+// every engine counter equals the bare operation's.
+constexpr ExecPolicy kParkPolicies[] = {
+    ExecPolicy::kSequential, ExecPolicy::kGroupPrefetch,
+    ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac};
+
+template <typename RunFused, typename RunBare>
+void ExpectFusedCountersMatchBare(uint32_t stages, RunFused&& run_fused,
+                                  RunBare&& run_bare) {
+  for (ExecPolicy policy : kParkPolicies) {
+    for (uint32_t inflight : {1u, 4u, 10u}) {
+      const SchedulerParams params{inflight, stages, 0};
+      CountChecksumSink bare_sink;
+      const EngineStats bare = run_bare(policy, params, bare_sink);
+      Executor exec(ExecConfig{policy, params, 1, 0});
+      const RunStats fused = run_fused(exec);
+      const std::string label = std::string(ExecPolicyName(policy)) +
+                                " m=" + std::to_string(inflight);
+      ExpectEngineStatsEqual(fused.engine, bare, label);
+      EXPECT_EQ(fused.outputs, bare_sink.matches()) << label;
+    }
+  }
+}
+
+TEST(FusedPipelineParkTest, ProbeCountersMatchProbeOp) {
+  const Relation r = MakeDenseUniqueRelation(2048, 101);
+  const Relation s = MakeForeignKeyRelation(3000, 4096, 102);
+  ChainedHashTable table(r.size(), ChainedHashTable::Options{});
+  BuildTableUnsync(r, &table);
+  RowSink expected;
+  for (const Tuple& t : s) {
+    if (t.key >= 1 && t.key <= static_cast<int64_t>(r.size())) {
+      expected.Emit(Tuple{PayloadForKey(t.key), t.payload});
+    }
+  }
+  const auto bare = [&](ExecPolicy policy, const SchedulerParams& params,
+                        CountChecksumSink& sink) {
+    ProbeOp<true, CountChecksumSink> op(table, s, sink);
+    return amac::Run(policy, params, op, s.size());
+  };
+  ExpectFusedCountersMatchBare(2, [&](Executor& exec) {
+    const RunStats run = exec.Run(Scan(s).Then(Probe<true>(table)));
+    EXPECT_EQ(run.checksum, expected.checksum());
+    return run;
+  }, bare);
+  ExpectFusedCountersMatchBare(2, [&](Executor& exec) {
+    const RunStats run = exec.Run(Plan::Scan(s).Lookup(table));
+    EXPECT_EQ(run.checksum, expected.checksum());
+    return run;
+  }, bare);
+}
+
+TEST(FusedPipelineParkTest, BTreeCountersMatchSearchOp) {
+  const Relation data = MakeDenseUniqueRelation(4096, 111);
+  const BTree tree(data);
+  const Relation keys = MakeZipfRelation(3000, 2 * data.size(), 0.4, 112);
+  RowSink expected;
+  for (const Tuple& t : keys) {
+    if (t.key >= 1 && t.key <= static_cast<int64_t>(data.size())) {
+      expected.Emit(Tuple{t.key, PayloadForKey(t.key)});
+    }
+  }
+  ExpectFusedCountersMatchBare(
+      3,
+      [&](Executor& exec) {
+        const RunStats run = exec.Run(Scan(keys).Then(LookupBTree(tree)));
+        EXPECT_EQ(run.checksum, expected.checksum());
+        return run;
+      },
+      [&](ExecPolicy policy, const SchedulerParams& params,
+          CountChecksumSink& sink) {
+        BTreeSearchOp<CountChecksumSink> op(tree, keys, sink);
+        return amac::Run(policy, params, op, keys.size());
+      });
+}
+
+TEST(FusedPipelineParkTest, FilteredRowsDrainInOneStep) {
+  // A row the scan drops costs exactly one Step (kDone) and no park; the
+  // surviving rows run the bare probe's sequence.  A compute Filter stage
+  // runs inline, so it behaves like a filter folded into the scan.
+  const Relation r = MakeDenseUniqueRelation(2048, 121);
+  const Relation s = MakeForeignKeyRelation(3000, 2048, 122);
+  ChainedHashTable table(r.size(), ChainedHashTable::Options{});
+  BuildTableUnsync(r, &table);
+  const auto even = [](const Tuple& t) { return t.key % 2 == 0; };
+  uint64_t num_kept = 0;
+  for (const Tuple& t : s) num_kept += even(t) ? 1 : 0;
+  Relation kept(num_kept);
+  uint64_t next = 0;
+  for (const Tuple& t : s) {
+    if (even(t)) kept[next++] = t;
+  }
+  const uint64_t dropped = s.size() - kept.size();
+  ASSERT_GT(dropped, 0u);
+  ASSERT_GT(kept.size(), 0u);
+  RowSink expected;
+  for (const Tuple& t : kept) {
+    expected.Emit(Tuple{PayloadForKey(t.key), t.payload});
+  }
+
+  for (ExecPolicy policy : kParkPolicies) {
+    for (uint32_t inflight : {1u, 4u, 10u}) {
+      const SchedulerParams params{inflight, 2, 0};
+      CountChecksumSink bare_sink;
+      ProbeOp<true, CountChecksumSink> op(table, kept, bare_sink);
+      const EngineStats bare = amac::Run(policy, params, op, kept.size());
+      Executor exec(ExecConfig{policy, params, 1, 0});
+      const RunStats staged =
+          exec.Run(Scan(s).Then(Filter(even)).Then(Probe<true>(table)));
+      const RunStats planned =
+          exec.Run(Plan::Scan(s).Filter(even).Lookup(table));
+      for (const RunStats* run : {&staged, &planned}) {
+        const std::string label =
+            std::string(ExecPolicyName(policy)) +
+            " m=" + std::to_string(inflight) +
+            (run == &staged ? " staged" : " planned");
+        EXPECT_EQ(run->engine.lookups, s.size()) << label;
+        EXPECT_EQ(run->engine.steps, bare.steps + dropped) << label;
+        EXPECT_EQ(run->engine.parks, bare.parks) << label;
+        EXPECT_EQ(run->engine.retries, 0u) << label;
+        EXPECT_EQ(run->outputs, expected.rows()) << label;
+        EXPECT_EQ(run->checksum, expected.checksum()) << label;
+      }
     }
   }
 }
